@@ -70,6 +70,9 @@ class Cluster:
         self._last_dispatch = -float("inf")
 
         self._pending: List[BatchJob] = []
+        #: picks of the scheduler pass in progress that have started but
+        #: still sit in ``_pending`` (see _run_picks); 0 between passes.
+        self._started_in_pass = 0
         self._arrival_order: Dict[int, int] = {}
         self._arrival_seq = 0
         self._running: Dict[int, Tuple[BatchJob, float, ScheduledEvent]] = {}
@@ -109,12 +112,12 @@ class Cluster:
 
     @property
     def queue_length(self) -> int:
-        return len(self._pending)
+        return len(self._pending) - self._started_in_pass
 
     @property
     def queued_core_seconds(self) -> float:
         """Work (cores x requested walltime) waiting in the queue."""
-        return sum(j.cores * j.walltime for j in self._pending)
+        return sum(j.cores * j.walltime for j in self._queued())
 
     def queue_composition(self) -> Dict[str, int]:
         """Pending jobs by kind ("background", "pilot", ...).
@@ -123,12 +126,12 @@ class Cluster:
         composition, and types of jobs already scheduled for execution".
         """
         out: Dict[str, int] = {}
-        for job in self._pending:
+        for job in self._queued():
             out[job.kind] = out.get(job.kind, 0) + 1
         return out
 
     def pending_jobs(self) -> List[BatchJob]:
-        return list(self._pending)
+        return list(self._queued())
 
     def running_jobs(self) -> List[BatchJob]:
         return [job for job, _, _ in self._running.values()]
@@ -315,25 +318,46 @@ class Cluster:
             "cluster.scheduler-pass-length", SCHEDULER_PASS_BUCKETS
         ).observe(len(view.pending))
 
+    def _queued(self) -> List[BatchJob]:
+        """The pending queue without the current pass's started picks.
+
+        Exactly the queue a per-pick removal would have left, so a
+        transition listener observes the same queue either way.
+        """
+        if self._started_in_pass:
+            order = self._arrival_order
+            return [j for j in self._pending if j.uid in order]
+        return self._pending
+
     def _run_picks(self, picks: List[BatchJob]) -> None:
         if not picks:
             return
         seen = set()
-        for job in picks:
-            if job.uid in seen:
-                raise RuntimeError(
-                    f"scheduler {self.scheduler.name} picked {job.name} twice"
-                )
-            seen.add(job.uid)
-            self._start(job)
+        try:
+            for job in picks:
+                if job.uid in seen:
+                    raise RuntimeError(
+                        f"scheduler {self.scheduler.name} picked {job.name} twice"
+                    )
+                seen.add(job.uid)
+                self._start(job)
+        finally:
+            # One order-preserving filter per pass instead of one
+            # O(queue) list.remove (a BatchJob.__eq__ per job ahead of
+            # the pick) per started job. _start drops each pick from the
+            # arrival-order keys, which mirror the queue's pending jobs.
+            if self._started_in_pass:
+                self._pending[:] = self._queued()
+                self._started_in_pass = 0
 
     def _start(self, job: BatchJob) -> None:
         # The arrival-order dict keys mirror the pending queue exactly,
-        # so membership is O(1) instead of an O(queue) scan.
+        # so membership is O(1) instead of an O(queue) scan. The job
+        # leaves _pending itself at the end of the pass (_run_picks).
         if job.uid not in self._arrival_order:
             raise RuntimeError(f"scheduler picked non-pending job {job.name}")
-        self._pending.remove(job)
         del self._arrival_order[job.uid]
+        self._started_in_pass += 1
         uid = job.uid
         cores = job.cores
         self.pool.allocate(uid, cores)

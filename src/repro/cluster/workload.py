@@ -23,15 +23,19 @@ their size/runtime mixes change.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import astuple, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..des import Simulation
 from .job import BatchJob
 from .machine import Cluster
+
+
+#: Generator.choice(p=)'s tolerance on the weight sum: sqrt(float64 eps).
+_WEIGHT_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,12 @@ class WorkloadProfile:
             raise ValueError("offered_load must be positive")
         if len(self.core_choices) != len(self.core_weights):
             raise ValueError("core_choices and core_weights length mismatch")
-        total = sum(self.core_weights)
-        if not math.isclose(total, 1.0, rel_tol=1e-6):
+        # The same two checks Generator.choice(p=) applies, so a profile
+        # the draws would reject is rejected up front.
+        if any(w < 0 for w in self.core_weights):
+            raise ValueError("core_weights must be non-negative")
+        total = math.fsum(self.core_weights)
+        if not abs(total - 1.0) <= _WEIGHT_SUM_ATOL:
             raise ValueError(f"core_weights must sum to 1, got {total}")
         if not (0 <= self.diurnal_amplitude < 1):
             raise ValueError("diurnal_amplitude must be in [0, 1)")
@@ -92,7 +100,7 @@ class WorkloadProfile:
         """Exact mean of the *clipped* lognormal runtime.
 
         Jobs are sampled lognormal and clipped into
-        ``[runtime_min, runtime_max]`` (np.clip), so the mean is::
+        ``[runtime_min, runtime_max]``, so the mean is::
 
             E = a*P(X<a) + b*P(X>b) + E[X; a<=X<=b]
 
@@ -120,43 +128,17 @@ class WorkloadProfile:
         return float(a * p_below + b * p_above + partial)
 
 
-# ---------------------------------------------------------------------------
-# Workload stream memoization
-#
-# Every repetition of a campaign cell regenerates the same background
-# streams: the numpy draws are a pure function of (stream seed state,
-# profile, resource capacity). The cache below records each *semantic*
-# draw — whole jobs, arrival gaps, accept/residual factors — on first
-# use and replays the tape (numpy-free) for every later same-key
-# workload in the process. Replay is safe because:
-#
-# * the key includes the generator's exact initial bit-generator state,
-#   the full profile, and the capacity clamp, so the live draws would be
-#   bit-identical anyway;
-# * each tape op carries its draw kind; a consumer that diverges from
-#   the recorded call sequence (different prime parameters, direct
-#   make_job use) trips a mismatch, which re-derives a live generator by
-#   re-executing the consumed ops from the recorded initial state — the
-#   workload then detaches from the tape and continues live;
-# * a run needing more draws than the tape holds adopts the tape's
-#   resident generator (positioned exactly at the tape end) and extends
-#   the tape for the next user.
-#
-# ``REPRO_WORKLOAD_CACHE=0`` disables the cache; workloads built from an
-# explicitly passed stream (shared with the caller) never use it.
-# ---------------------------------------------------------------------------
-
-
 class _LiveDraws:
     """Semantic workload draws straight from a numpy generator.
 
-    Draw order inside :meth:`job` matches the historical ``make_job``
-    exactly (choice, lognormal, random, [uniform], integers), so cached
-    and uncached simulations replay the identical history.
+    :meth:`job` must consume the generator exactly as
+    ``rng.choice(choices, p=weights)`` + ``np.clip`` would — same draws,
+    same order (core draw, lognormal, random, [uniform], integers), same
+    values — without ``choice``'s per-call weight validation and CDF
+    rebuild (see "Background draws" in docs/INTERNALS.md).
     """
 
-    __slots__ = ("rng", "profile", "max_cores", "_choices", "_weights")
-    mode = "live"
+    __slots__ = ("rng", "profile", "_choices", "_cdf")
 
     def __init__(
         self,
@@ -166,26 +148,28 @@ class _LiveDraws:
     ) -> None:
         self.rng = rng
         self.profile = profile
-        self.max_cores = max_cores
-        # Pre-converted sampling arrays: job() runs thousands of times
-        # per repetition and the list->ndarray conversion dominated it.
-        self._choices = np.asarray(profile.core_choices)
-        self._weights = np.asarray(profile.core_weights)
+        # Generator.choice(p=) draws one rng.random() and maps it through
+        # the normalized cumulative weights (cumsum, divided by the last
+        # element) with searchsorted(side="right"). Building that CDF once
+        # and bisecting it (the same "<=" search over the same doubles)
+        # yields the identical index from the identical single draw.
+        cdf = np.cumsum(np.asarray(profile.core_weights, dtype=np.float64))
+        cdf /= cdf[-1]
+        self._cdf: List[float] = cdf.tolist()
+        self._choices = [min(int(c), max_cores) for c in profile.core_choices]
 
     def job(self) -> Tuple[int, float, float, int]:
         """One job draw: (cores, runtime, walltime, user index)."""
         rng = self.rng
         p = self.profile
-        cores = int(rng.choice(self._choices, p=self._weights))
-        if cores > self.max_cores:
-            cores = self.max_cores
-        runtime = float(
-            np.clip(
-                rng.lognormal(p.runtime_log_mean, p.runtime_log_sigma),
-                p.runtime_min,
-                p.runtime_max,
-            )
-        )
+        cores = self._choices[bisect_right(self._cdf, rng.random())]
+        runtime = rng.lognormal(p.runtime_log_mean, p.runtime_log_sigma)
+        # np.clip(x, lo, hi) == min(max(x, lo), hi), scalar edition.
+        if runtime < p.runtime_min:
+            runtime = p.runtime_min
+        if runtime > p.runtime_max:
+            runtime = p.runtime_max
+        runtime = float(runtime)
         if rng.random() < p.sloppy_request_fraction:
             walltime = p.walltime_limit
         else:
@@ -209,240 +193,6 @@ class _LiveDraws:
         return float(self.rng.random())
 
 
-class _StreamTape:
-    """One cached stream: recorded ops plus the generator at tape end."""
-
-    __slots__ = ("ops", "init_state", "rng")
-
-    def __init__(
-        self, rng: np.random.Generator, init_state: Dict[str, Any]
-    ) -> None:
-        self.ops: List[Tuple[Any, ...]] = []
-        self.init_state = init_state
-        #: Live generator positioned exactly after ``ops`` — the class
-        #: invariant every record/extend step preserves.
-        self.rng = rng
-
-
-class _RecordingDraws(_LiveDraws):
-    """Live draws that append every value to a tape."""
-
-    __slots__ = ("tape",)
-    mode = "record"
-
-    def __init__(
-        self,
-        tape: _StreamTape,
-        profile: WorkloadProfile,
-        max_cores: int,
-    ) -> None:
-        super().__init__(tape.rng, profile, max_cores)
-        self.tape = tape
-
-    def job(self) -> Tuple[int, float, float, int]:
-        v = super().job()
-        self.tape.ops.append(("j", v))
-        return v
-
-    def residual(self) -> float:
-        v = super().residual()
-        self.tape.ops.append(("res", v))
-        return v
-
-    def gap(self, scale: float) -> float:
-        v = super().gap(scale)
-        # scale rides along so a mismatch fallback can re-execute the op.
-        self.tape.ops.append(("g", v, scale))
-        return v
-
-    def accept(self) -> float:
-        v = super().accept()
-        self.tape.ops.append(("a", v))
-        return v
-
-
-class _ReplayDraws:
-    """Numpy-free draws popped from a recorded tape.
-
-    On tape exhaustion the owning workload is switched to a
-    :class:`_RecordingDraws` that adopts the tape's resident generator
-    and extends the tape; on an op mismatch the consumed prefix is
-    re-executed on a fresh generator and the workload detaches to plain
-    live draws.
-    """
-
-    __slots__ = ("tape", "idx", "workload", "cache")
-    mode = "replay"
-
-    def __init__(
-        self,
-        tape: _StreamTape,
-        workload: "BackgroundWorkload",
-        cache: "WorkloadStreamCache",
-    ) -> None:
-        self.tape = tape
-        self.idx = 0
-        self.workload = workload
-        self.cache = cache
-
-    def job(self) -> Tuple[int, float, float, int]:
-        ops = self.tape.ops
-        i = self.idx
-        if i < len(ops) and ops[i][0] == "j":
-            self.idx = i + 1
-            return ops[i][1]
-        return self._divert("j")
-
-    def residual(self) -> float:
-        ops = self.tape.ops
-        i = self.idx
-        if i < len(ops) and ops[i][0] == "res":
-            self.idx = i + 1
-            return ops[i][1]
-        return self._divert("res")
-
-    def gap(self, scale: float) -> float:
-        ops = self.tape.ops
-        i = self.idx
-        if i < len(ops) and ops[i][0] == "g":
-            self.idx = i + 1
-            return ops[i][1]
-        return self._divert("g", scale)
-
-    def accept(self) -> float:
-        ops = self.tape.ops
-        i = self.idx
-        if i < len(ops) and ops[i][0] == "a":
-            self.idx = i + 1
-            return ops[i][1]
-        return self._divert("a")
-
-    # -- slow paths --------------------------------------------------------
-
-    def _divert(self, code: str, scale: Optional[float] = None):
-        wl = self.workload
-        if self.idx >= len(self.tape.ops):
-            # Exhausted: adopt the tape's generator and extend the tape.
-            self.cache.extensions += 1
-            draws = _RecordingDraws(self.tape, wl.profile, wl.max_cores)
-        else:
-            # Mismatched call sequence: rebuild a live generator by
-            # re-executing the consumed ops from the initial state, then
-            # detach from the tape.
-            self.cache.fallbacks += 1
-            draws = _LiveDraws(
-                _generator_from_state(self.tape.init_state),
-                wl.profile,
-                wl.max_cores,
-            )
-            for op in self.tape.ops[: self.idx]:
-                if op[0] == "j":
-                    draws.job()
-                elif op[0] == "res":
-                    draws.residual()
-                elif op[0] == "g":
-                    draws.gap(op[2])
-                else:
-                    draws.accept()
-        wl._draws = draws
-        wl.rng = draws.rng
-        if code == "j":
-            return draws.job()
-        if code == "res":
-            return draws.residual()
-        if code == "g":
-            return draws.gap(scale)
-        return draws.accept()
-
-
-def _generator_from_state(state: Dict[str, Any]) -> np.random.Generator:
-    """Fresh ``np.random.Generator`` restored from a bit-generator state."""
-    bit_cls = getattr(np.random, state["bit_generator"])
-    bg = bit_cls()
-    bg.state = state
-    return np.random.Generator(bg)
-
-
-def _freeze(value: Any) -> Any:
-    """Hashable, order-stable form of a state/profile component."""
-    if isinstance(value, dict):
-        return tuple((k, _freeze(v)) for k, v in sorted(value.items()))
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-class WorkloadStreamCache:
-    """Process-global memo of background-workload draw streams.
-
-    Keys are ``(initial bit-generator state, profile, capacity clamp)``
-    — everything the live draw sequence depends on — so a hit replays
-    exactly the values a fresh generator would produce. Counters feed
-    the diagnostic telemetry gauges and the parallel runner's stats.
-    """
-
-    def __init__(self) -> None:
-        self._tapes: Dict[Any, _StreamTape] = {}
-        self.hits = 0
-        self.misses = 0
-        self.extensions = 0
-        self.fallbacks = 0
-
-    def __len__(self) -> int:
-        return len(self._tapes)
-
-    @property
-    def recorded_ops(self) -> int:
-        """Total semantic draws held across all tapes."""
-        return sum(len(t.ops) for t in self._tapes.values())
-
-    def clear(self) -> None:
-        self._tapes.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "streams": len(self._tapes),
-            "hits": self.hits,
-            "misses": self.misses,
-            "extensions": self.extensions,
-            "fallbacks": self.fallbacks,
-            "recorded_ops": self.recorded_ops,
-        }
-
-    def draws_for(
-        self, workload: "BackgroundWorkload", rng: np.random.Generator
-    ) -> "_LiveDraws | _ReplayDraws":
-        """Recording draws on first sight of a key, replay afterwards."""
-        state = rng.bit_generator.state
-        key = (
-            _freeze(state),
-            _freeze(astuple(workload.profile)),
-            workload.max_cores,
-        )
-        tape = self._tapes.get(key)
-        if tape is None:
-            self.misses += 1
-            tape = self._tapes[key] = _StreamTape(rng, state)
-            return _RecordingDraws(tape, workload.profile, workload.max_cores)
-        self.hits += 1
-        return _ReplayDraws(tape, workload, self)
-
-
-#: The process-wide cache instance ``BackgroundWorkload`` uses by default.
-STREAM_CACHE = WorkloadStreamCache()
-
-
-def stream_cache_stats() -> Dict[str, int]:
-    """Counters of the process-global workload stream cache."""
-    return STREAM_CACHE.stats()
-
-
-def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_WORKLOAD_CACHE", "1") != "0"
-
-
 class BackgroundWorkload:
     """Generates and submits background jobs to one cluster."""
 
@@ -457,9 +207,6 @@ class BackgroundWorkload:
         self.cluster = cluster
         self.profile = profile
         self.max_cores = cluster.total_cores
-        # The kernel stream is drawn even when a cached tape will serve
-        # the values: rng.draws and the stream registry must not depend
-        # on cache temperature.
         self.rng = stream if stream is not None else sim.rng.get(
             f"workload/{cluster.name}"
         )
@@ -468,27 +215,7 @@ class BackgroundWorkload:
         # Interned user labels: one f-string format per account, not one
         # per sampled job.
         self._user_labels = [f"bg{i:02d}" for i in range(profile.n_users)]
-        if (
-            stream is None
-            and type(self) is BackgroundWorkload
-            and _cache_enabled()
-        ):
-            self._draws = STREAM_CACHE.draws_for(self, self.rng)
-        else:
-            # Caller-owned streams may be shared with other consumers,
-            # and subclasses may draw differently: stay live.
-            self._draws = _LiveDraws(self.rng, profile, self.max_cores)
-        metrics = sim.telemetry.metrics
-        metrics.gauge(
-            "workload.stream-cache-hits",
-            lambda: STREAM_CACHE.hits,
-            diagnostic=True,
-        )
-        metrics.gauge(
-            "workload.stream-cache-misses",
-            lambda: STREAM_CACHE.misses,
-            diagnostic=True,
-        )
+        self._draws = _LiveDraws(self.rng, profile, self.max_cores)
         # Arrival rate so that E[cores * runtime] * lambda = load * capacity.
         work_per_job = profile.mean_cores * profile.mean_runtime
         self.base_rate = (
@@ -500,8 +227,7 @@ class BackgroundWorkload:
     def make_job(self) -> BatchJob:
         """Sample one background job from the profile.
 
-        All randomness flows through ``self._draws`` (re-read per call:
-        replay may swap it for a live generator mid-stream). Walltime may
+        All randomness flows through ``self._draws``. Walltime may
         undercut runtime when runtime is near the queue limit; such jobs
         get killed at the limit, as on real systems.
         """

@@ -306,15 +306,18 @@ class AdaptiveEventQueue:
     reaches ``promote_at`` the heap's pending events migrate into a
     :class:`CalendarEventQueue` (sharing the sequence counter, so
     tie-breaking is unaffected), the instance methods are rebound to the
-    calendar's, and the drained heap forwards any stale hoisted
-    ``pop_until`` reference (the kernel hoists one per run) to the
-    calendar. Promotion cannot change pop order because the ordering is
-    a strict total order on ``(time, priority, seq)``.
+    calendar's, and stale hoisted references forward to the calendar:
+    the drained heap's ``pop_until`` (the kernel hoists one per run) and
+    this class's ``push`` (``Waitable._trigger`` hoists one per trigger,
+    and its callbacks may cross the threshold mid-loop). Promotion cannot
+    change pop order because the ordering is a strict total order on
+    ``(time, priority, seq)``.
     """
 
     def __init__(self, promote_at: int = _PROMOTE_AT) -> None:
         impl = EventQueue()
         self._impl: object = impl
+        self._heap_queue = impl
         self._promote_at = promote_at
         self.promotions = 0
         # Bound-method fast paths; instance attributes shadow the class.
@@ -336,9 +339,12 @@ class AdaptiveEventQueue:
         priority: int = 0,
     ) -> ScheduledEvent:
         # Inlined EventQueue.push plus the promotion trigger. After
-        # promotion the calendar's own push is installed on the instance,
-        # so this body only ever runs against the heap.
-        impl: EventQueue = self._impl  # type: ignore[assignment]
+        # promotion the calendar's own push is installed on the instance;
+        # only a bound method hoisted before the promotion still lands
+        # here, and it forwards like the heap's pop_until does.
+        impl = self._heap_queue
+        if impl._redirect is not None:
+            return impl._redirect.push(time, callback, args, priority)
         if time != time:  # NaN guard
             raise SchedulingError("event time is NaN")
         seq = impl._seq

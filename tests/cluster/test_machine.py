@@ -220,3 +220,91 @@ def test_queue_metrics():
     assert cluster.queue_length == 1
     assert cluster.queued_core_seconds == 4 * 60
     assert cluster.utilization == 1.0
+
+
+def _queue_seen(cluster):
+    return (
+        cluster.queue_length,
+        [j.uid for j in cluster.pending_jobs()],
+        cluster.queue_composition(),
+        cluster.queued_core_seconds,
+    )
+
+
+def _expected_view(jobs):
+    kinds = {}
+    for j in jobs:
+        kinds[j.kind] = kinds.get(j.kind, 0) + 1
+    return (
+        len(jobs),
+        [j.uid for j in jobs],
+        kinds,
+        sum(j.cores * j.walltime for j in jobs),
+    )
+
+
+def test_listeners_see_queue_shrink_one_pick_at_a_time():
+    """One scheduler pass starts several jobs; at each RUNNING transition
+    the queue views show exactly the jobs not started yet, as if every
+    pick had left the queue the moment it started."""
+    sim = Simulation()
+    cluster = make_cluster(sim, nodes=1, cpn=4)
+    jobs = [
+        BatchJob(cores=1, runtime=10, walltime=10 + i,
+                 kind="pilot" if i % 2 else "background")
+        for i in range(7)
+    ]
+    seen = []
+
+    def listener(job, old, new):
+        if new is JobState.RUNNING:
+            seen.append((job.uid, _queue_seen(cluster)))
+
+    cluster.add_listener(listener)
+    for job in jobs:
+        cluster.submit(job)
+    sim.run(until=1)
+    assert [uid for uid, _ in seen] == [j.uid for j in jobs[:4]]
+    for k, (_, view) in enumerate(seen):
+        assert view == _expected_view(jobs[k + 1:])
+    assert _queue_seen(cluster) == _expected_view(jobs[4:])
+
+
+def test_listener_cancel_during_pass_keeps_queue_consistent():
+    sim = Simulation()
+    cluster = make_cluster(sim, nodes=1, cpn=2)
+    jobs = [BatchJob(cores=1, runtime=10, walltime=10) for _ in range(5)]
+    seen = []
+
+    def listener(job, old, new):
+        if new is JobState.RUNNING:
+            if job is jobs[0]:
+                cluster.cancel(jobs[3])  # a queued job, not a pick
+            seen.append(_queue_seen(cluster))
+
+    cluster.add_listener(listener)
+    for job in jobs:
+        cluster.submit(job)
+    sim.run(until=1)
+    assert seen == [
+        _expected_view([jobs[1], jobs[2], jobs[4]]),
+        _expected_view([jobs[2], jobs[4]]),
+    ]
+    assert cluster.pending_jobs() == [jobs[2], jobs[4]]
+    sim.run()
+    assert [j.state for j in jobs] == [JobState.COMPLETED] * 3 + [
+        JobState.CANCELLED, JobState.COMPLETED,
+    ]
+
+
+def test_scheduler_picking_twice_is_rejected():
+    class Twice(FcfsScheduler):
+        def select(self, view):
+            picks = super().select(view)
+            return picks + picks[:1]
+
+    sim = Simulation()
+    cluster = make_cluster(sim, nodes=1, cpn=4, scheduler=Twice())
+    cluster.submit(BatchJob(cores=1, runtime=10, walltime=10))
+    with pytest.raises(RuntimeError, match="twice"):
+        sim.run()

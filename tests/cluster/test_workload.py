@@ -34,6 +34,28 @@ def test_profile_validation():
         WorkloadProfile(diurnal_amplitude=1.5)
 
 
+def test_profile_rejects_negative_weights():
+    """Generator.choice refuses negative probabilities; so does the profile."""
+    with pytest.raises(ValueError, match="non-negative"):
+        WorkloadProfile(core_choices=(1, 2, 4), core_weights=(0.6, 0.6, -0.2))
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.default_rng(0).choice([1, 2, 4], p=[0.6, 0.6, -0.2])
+
+
+def test_profile_weight_sum_tolerance_matches_rng_choice():
+    """The sum must be within choice()'s sqrt(eps) ~ 1.5e-8 of 1."""
+    off = (0.5, 0.5 - 1e-7)  # passed the old rel_tol=1e-6 check
+    with pytest.raises(ValueError, match="sum to 1"):
+        WorkloadProfile(core_choices=(1, 2), core_weights=off)
+    with pytest.raises(ValueError, match="sum to 1"):
+        np.random.default_rng(0).choice([1, 2], p=off)
+    close = (0.5, 0.5 - 1e-9)
+    WorkloadProfile(core_choices=(1, 2), core_weights=close)
+    np.random.default_rng(0).choice([1, 2], p=close)
+    with pytest.raises(ValueError, match="sum to 1"):
+        WorkloadProfile(core_choices=(1, 2), core_weights=(0.5, float("nan")))
+
+
 def test_profile_moments():
     p = WorkloadProfile()
     assert p.mean_cores > 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Simulation
+from repro.des import Signal, Simulation
 from repro.des.calendar import (
     AdaptiveEventQueue,
     CalendarEventQueue,
@@ -136,6 +136,55 @@ def test_adaptive_promotion_redirects_hoisted_pop_until():
             break
         got.append(ev.time)
     assert got == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_adaptive_promotion_inside_signal_trigger():
+    """``Waitable._trigger`` hoists ``queue.push`` and pushes one resume
+    per waiter; promoting inside that loop must not strand the hoisted
+    heap-side push (it used to raise AttributeError: ... '_heap')."""
+
+    def run(queue):
+        sim = Simulation()
+        sim._queue = queue
+        sig = Signal(sim)
+        log = []
+
+        def waiter(i):
+            value = yield sig
+            log.append((sim.now, i, value))
+            yield sim.timeout(i)
+            log.append((sim.now, i, "done"))
+
+        def spawner():
+            # One waiter at a time keeps the live population tiny, so
+            # the promotion happens inside the trigger loop, not here.
+            for i in range(12):
+                sim.process(waiter(i))
+                yield sim.timeout(0.1)
+
+        sim.process(spawner())
+        sim.call_at(5.0, sig.succeed, "go")
+        sim.run(until=4.0)
+        assert getattr(queue, "promotions", 0) == 0
+        sim.run()
+        return log
+
+    adaptive = AdaptiveEventQueue(promote_at=6)
+    got = run(adaptive)
+    assert adaptive.promotions == 1
+    assert got == run(EventQueue())
+    assert [entry[1] for entry in got[:12]] == list(range(12))
+
+
+def test_adaptive_hoisted_push_forwards_after_promotion():
+    q = AdaptiveEventQueue(promote_at=3)
+    hoisted = q.push  # class body, bound before promotion
+    for t in (3.0, 1.0, 2.0):
+        hoisted(t, _noop)
+    assert q.promotions == 1
+    late = hoisted(0.5, _noop)  # must land in the calendar, seq intact
+    assert late.seq == 3
+    assert [q.pop().time for _ in range(len(q))] == [0.5, 1.0, 2.0, 3.0]
 
 
 def test_adaptive_seq_continues_across_promotion():
