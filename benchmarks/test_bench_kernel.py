@@ -1,4 +1,4 @@
-"""Kernel microbenchmarks: event-queue backends and scheduler passes.
+"""Kernel microbenchmarks: the event queue and scheduler passes.
 
 Isolates the two hot primitives the campaign benchmark aggregates —
 event scheduling and backfill selection — so a regression can be
@@ -7,10 +7,10 @@ are written to ``benchmarks/BENCH_kernel.json`` (uploaded by the CI
 ``kernel-bench`` job) and gated against the committed
 ``benchmarks/BENCH_baseline.json``:
 
-* **Backend equivalence** — the heap and calendar queues must pop an
-  identical ``(time, priority, seq)`` sequence for the same pushed
-  workload, including interleaved cancellations. This is the
-  host-independent gate and always applies.
+* **Pop order** — the event queue must pop the committed
+  ``(time, priority, seq)`` sequence (:data:`HEAP_POP_DIGEST`) for the
+  seeded push workload, including interleaved cancellations. This is
+  the host-independent gate and always applies.
 * **Wall regression** — each microbenchmark must stay within
   ``REGRESSION_FACTOR``x of its committed baseline wall time (with an
   absolute floor below which load noise is ignored).
@@ -32,7 +32,6 @@ from time import perf_counter
 from repro.cluster.job import BatchJob
 from repro.cluster.schedulers.backfill import ConservativeBackfillScheduler
 from repro.cluster.schedulers.base import RunningMirror, SchedulerView
-from repro.des.calendar import CalendarEventQueue
 from repro.des.events import EventQueue
 
 _HERE = Path(__file__).parent
@@ -47,6 +46,13 @@ MIN_LIMIT_S = 0.25
 
 #: events per queue microbenchmark round.
 N_EVENTS = 20_000
+
+#: SHA-256 of the pop order :func:`_drive` records for
+#: ``_queue_workload()`` — the seeded workload is fixed, so any change
+#: here is a change of the kernel's event order.
+HEAP_POP_DIGEST = (
+    "711efe69540f9a148b441e524a86898fad5d2e1a473d17e098332d4757e7f85f"
+)
 
 _results: dict = {}
 
@@ -89,7 +95,7 @@ def _gate_wall(key: str, wall_s: float, extra: dict) -> None:
     )
 
 
-# -- event-queue backends ------------------------------------------------------
+# -- event queue ---------------------------------------------------------------
 
 
 def _queue_workload(seed: int = 2016, n: int = N_EVENTS):
@@ -134,25 +140,24 @@ def _drive(queue, plan):
     return h.hexdigest()
 
 
-def test_bench_queue_backends():
+def test_bench_queue():
     plan = _queue_workload()
-    digests = {}
-    for key, factory in (
-        ("kernel-queue-heap", EventQueue),
-        ("kernel-queue-calendar", CalendarEventQueue),
-    ):
-        best = None
-        for _ in range(3):
-            queue = factory()
-            w0 = perf_counter()
-            digests[key] = _drive(queue, plan)
-            wall = perf_counter() - w0
-            best = wall if best is None else min(best, wall)
-        ops = len(plan) * 2  # one push + one pop/cancel per event
-        _gate_wall(key, best, {"events": len(plan), "ops_per_sec": ops / best})
-    # Host-independent determinism gate: identical pop order, always on.
-    assert digests["kernel-queue-heap"] == digests["kernel-queue-calendar"], (
-        "heap and calendar backends popped different event orders"
+    best = None
+    for _ in range(3):
+        queue = EventQueue()
+        w0 = perf_counter()
+        digest = _drive(queue, plan)
+        wall = perf_counter() - w0
+        best = wall if best is None else min(best, wall)
+        # Host-independent determinism gate: the committed pop order,
+        # always on.
+        assert digest == HEAP_POP_DIGEST, (
+            f"event queue popped a different order: {digest}"
+        )
+    ops = len(plan) * 2  # one push + one pop/cancel per event
+    _gate_wall(
+        "kernel-queue-heap", best,
+        {"events": len(plan), "ops_per_sec": ops / best},
     )
 
 

@@ -13,12 +13,6 @@ from .errors import (
     SchedulingError,
     SimulationError,
 )
-from .calendar import (
-    AdaptiveEventQueue,
-    CalendarEventQueue,
-    QUEUE_BACKENDS,
-    make_event_queue,
-)
 from .events import EventQueue, ScheduledEvent, TraceRecord, Tracer
 from .hazard import hazard_process
 from .kernel import Simulation
@@ -28,15 +22,12 @@ from .rng import RngStreams
 
 __all__ = [
     "Acquisition",
-    "AdaptiveEventQueue",
     "AllOf",
     "AnyOf",
     "CancelledError",
-    "CalendarEventQueue",
     "CapacityResource",
     "EventQueue",
     "Interrupt",
-    "QUEUE_BACKENDS",
     "Process",
     "ProcessError",
     "RngStreams",
@@ -51,5 +42,4 @@ __all__ = [
     "Tracer",
     "Waitable",
     "hazard_process",
-    "make_event_queue",
 ]

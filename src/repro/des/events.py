@@ -113,11 +113,6 @@ class EventQueue:
         self._seq = 0  # plain int: += 1 beats next(count()) on the hot path
         self._live = 0
         self._cancelled = 0  # dead entries still occupying heap slots
-        #: Set by AdaptiveEventQueue promotion: the calendar queue that
-        #: adopted this heap's events. A ``pop_until`` reference hoisted
-        #: before the promotion (the kernel hoists one per run) keeps
-        #: working by forwarding to it once the heap is drained.
-        self._redirect = None
         #: Cumulative counters surfaced through the telemetry registry.
         self.pushed = 0
         self.popped = 0
@@ -195,9 +190,6 @@ class EventQueue:
             heappop(heap)
             self._cancelled -= 1
         if not heap or heap[0][0] > limit:
-            redirect = self._redirect
-            if redirect is not None:
-                return redirect.pop_until(limit)
             return None
         ev = heappop(heap)[3]
         ev.fired = True

@@ -14,7 +14,6 @@ import gc
 import hashlib
 import json
 import logging
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -361,23 +360,31 @@ def run_campaign(
     resume: bool = False,
     resilience=None,
     control=None,
+    run_fn: Optional[str] = None,
+    stats=None,
 ) -> CampaignResult:
     """Run the full experiment grid; returns all repetitions.
 
-    ``jobs`` fans the (experiment, size, rep) grid out to that many
-    worker processes (0 = one per usable CPU). Each repetition is seeded
-    independently from ``(campaign_seed, exp_id, n_tasks, rep)``, so the
-    parallel campaign produces results identical to the serial one —
-    see :mod:`repro.experiments.runner` for the determinism contract.
+    The one campaign driver. It plans the cells to run, then hands them
+    to one of two executors (:mod:`repro.experiments.runner`): the pool
+    executor when ``jobs`` resolves to more than one worker (0 = one
+    per usable CPU) and more than one cell remains, the inline
+    executor otherwise. Each repetition is seeded independently from
+    ``(campaign_seed, exp_id, n_tasks, rep)``, so both executors produce
+    identical results, returned in grid order.
 
-    ``on_progress`` receives one :class:`CellProgress` per completed
+    A repetition that raises (or, in the pool, crashes or times out its
+    worker past the retry budget) is recorded in ``result.errors`` as a
+    :class:`CellError` instead of ending the campaign.
+
+    ``on_progress`` receives one :class:`CellProgress` per finished
     repetition; ``ledger`` (a :class:`repro.experiments.ledger.RunLedger`)
-    streams the campaign's NDJSON run ledger in both serial and
-    parallel modes. ``store`` (a
+    streams the campaign's NDJSON run ledger. ``store`` (a
     :class:`repro.experiments.store.CampaignStore`) persists each
     repetition as it completes — one committed row per cell plus a
     lease/attempt history, so a concurrent reader (``repro tail``) and
     a post-crash forensic pass both see exactly the completed prefix.
+    Only this process writes the store; pool workers return results.
 
     ``resume=True`` (requires ``store``) continues a half-finished
     campaign: the stored config is verified against the requested one
@@ -387,30 +394,16 @@ def run_campaign(
     byte-identical (by campaign fingerprint digest) to an uninterrupted
     run. ``resilience`` is a
     :class:`~repro.experiments.resilience.ResiliencePolicy` (timeouts,
-    retry budgets, ``retry_errors``). SIGINT/SIGTERM drain the in-flight
-    cell and raise
+    retry budgets, ``retry_errors``). SIGINT/SIGTERM drain the
+    in-flight cells and raise
     :class:`~repro.experiments.resilience.CampaignInterrupted` with the
     store marked cleanly interrupted; a second signal hard-cancels.
-    """
-    if jobs != 1:
-        from .runner import run_parallel_campaign
 
-        return run_parallel_campaign(
-            experiments=experiments,
-            task_counts=task_counts,
-            reps=reps,
-            campaign_seed=campaign_seed,
-            resource_pool=resource_pool,
-            verbose=verbose,
-            jobs=jobs,
-            collect_digests=collect_digests,
-            on_progress=on_progress,
-            ledger=ledger,
-            store=store,
-            resume=resume,
-            resilience=resilience,
-            control=control,
-        )
+    ``run_fn`` names a ``module:attr`` replacement for the per-cell
+    execution function (test and instrumentation hook); ``stats``, when
+    given, is a :class:`~repro.experiments.runner.RunnerStats` filled
+    with aggregated runner telemetry.
+    """
     from .resilience import (
         CampaignInterrupted,
         ExecutionSupervisor,
@@ -419,7 +412,10 @@ def run_campaign(
         config_digest,
         prepare_resume,
     )
+    from .runner import RunnerStats, execute_inline, execute_pool, resolve_jobs
 
+    t0 = perf_counter()
+    jobs = resolve_jobs(jobs)
     policy = resilience if resilience is not None else ResiliencePolicy()
     meta = campaign_meta(
         experiments=experiments, task_counts=task_counts, reps=reps,
@@ -441,20 +437,21 @@ def run_campaign(
     else:
         plan = None
         remaining = list(grid)
-
-    result = CampaignResult(meta=meta)
-    total = len(grid)
-    done_offset = total - len(remaining)
+    pooled = jobs > 1 and len(remaining) > 1
+    stats = stats if stats is not None else RunnerStats()
+    stats.jobs = jobs
+    stats.cells = len(grid)
+    done_offset = len(grid) - len(remaining)
     log.info(
-        "serial campaign: %d cells (%d to run), seed=%d",
-        total, len(remaining), campaign_seed,
+        "campaign: %d cells (%d to run), %s, seed=%d",
+        len(grid), len(remaining),
+        f"pool of {jobs} workers" if pooled else "inline", campaign_seed,
     )
-    campaign_w0 = perf_counter()
     if store is not None:
         store.set_campaign_meta(meta)
         store.set_config_digest(config_digest(meta))
     if ledger is not None:
-        ledger.campaign_start(total, meta)
+        ledger.campaign_start(len(grid), meta)
         if plan is not None:
             ledger.campaign_resumed(
                 committed=len(plan.committed),
@@ -463,85 +460,99 @@ def run_campaign(
                 reclaimed=plan.reclaimed_leases,
                 remaining=len(plan.remaining),
             )
+
+    results: Dict[Tuple[int, int, int], RunResult] = {}
+    errors: Dict[Tuple[int, int, int], str] = {}
     supervisor = ExecutionSupervisor(store=store, ledger=ledger, policy=policy)
-    own_control = control is None
-    if own_control:
-        # serial: the second signal must actually preempt the in-flight
-        # cell, so the handler raises KeyboardInterrupt on escalation.
-        control = ShutdownControl(raise_on_hard=True)
-    control.install()
-    interrupted = False
-    try:
-        for cell in remaining:
-            if control.draining:
-                interrupted = True
-                break
+
+    def on_cell(status: str, cell, payload: object, cmeta: dict) -> None:
+        run: Optional[RunResult] = None
+        error: Optional[str] = None
+        worker = cmeta.get("worker")
+        if status == "ok":
+            run = payload  # type: ignore[assignment]
+            results[cell] = run
+            stats.completed += 1
+            stats.events += run.events
+            supervisor.commit(cell, run, worker=worker)
+        else:
+            error = str(payload)
+            errors[cell] = error
+            stats.errors += 1
+            log.warning("cell %s failed: %s", cell, error)
+            supervisor.fail(cell, error)
+        if verbose:
             exp_id, n_tasks, rep = cell
-            spec = TABLE1[exp_id]
-            supervisor.begin(cell, worker=os.getpid())
-            w0 = perf_counter()
-            try:
-                run = run_single(
-                    spec, n_tasks, rep,
-                    campaign_seed=campaign_seed,
-                    resource_pool=resource_pool,
-                    collect_digests=collect_digests,
-                )
-            except KeyboardInterrupt:
-                # hard cancel mid-cell: the repetition is lost (it will
-                # be re-run on resume), but nothing partial was written
-                # — the store only ever holds whole committed cells.
-                supervisor.close(cell, "interrupted", "hard-cancelled mid-cell")
-                interrupted = True
-                break
-            wall = perf_counter() - w0
-            result.add(run)
-            supervisor.commit(cell, run)
-            if verbose:
-                print(
-                    f"{spec.label} n={n_tasks} rep={rep}: "
-                    f"TTC={run.ttc:.0f}s Tw={run.tw:.0f}s "
-                    f"done={run.units_done}/{n_tasks}"
-                )
-            progress = CellProgress(
-                done=done_offset + len(result.runs), total=total,
-                cell=cell, wall_s=wall, ttc=run.ttc,
+            outcome = (
+                f"TTC={run.ttc:.0f}s Tw={run.tw:.0f}s "
+                f"done={run.units_done}/{n_tasks}"
+                if run is not None else f"ERROR {error}"
             )
-            if ledger is not None:
-                ledger.cell(progress, run=run)
-            if on_progress is not None:
-                on_progress(progress)
+            print(f"{TABLE1[exp_id].label} n={n_tasks} rep={rep}: {outcome}")
+        progress = CellProgress(
+            done=done_offset + len(results) + len(errors), total=len(grid),
+            cell=cell, wall_s=float(cmeta.get("wall_s", 0.0)),
+            error=error, ttc=run.ttc if run is not None else float("nan"),
+        )
+        if ledger is not None:
+            ledger.cell(progress, run=run, worker=worker)
+        if on_progress is not None:
+            on_progress(progress)
+
+    if control is None:
+        # Inline, the second signal must preempt the running cell, so
+        # the handler raises KeyboardInterrupt. The pool parent polls
+        # the flags instead: a raise could land inside pool bookkeeping
+        # and corrupt the teardown.
+        control = ShutdownControl(raise_on_hard=not pooled)
+    control.install()
+    execute = execute_pool if pooled else execute_inline
+    pool_arg = tuple(resource_pool) if resource_pool is not None else None
+    try:
+        interrupted = execute(
+            remaining, jobs,
+            (campaign_seed, pool_arg, collect_digests, run_fn),
+            stats, on_cell, supervisor, control,
+        )
     except KeyboardInterrupt:
         # a hard cancel landing between cells (or inside a ledger/store
-        # call): transactions make the store consistent either way.
+        # call): transactions keep the store consistent either way.
         interrupted = True
     finally:
         control.restore()
-    if interrupted:
-        if store is not None:
-            store.set_interrupted(True)
-        if ledger is not None:
-            ledger.campaign_end(
-                len(result.runs), 0, perf_counter() - campaign_w0,
-                interrupted=True,
-            )
-        raise CampaignInterrupted(
-            f"campaign interrupted after {done_offset + len(result.runs)}"
-            f"/{total} cells; the store holds every committed cell",
-            result=result,
-        )
+
+    stats.wall_s = perf_counter() - t0
+    stats.interrupted = interrupted
     if store is not None:
-        store.set_interrupted(False)
+        store.set_interrupted(interrupted)
     if ledger is not None:
         ledger.campaign_end(
-            len(result.runs), 0, perf_counter() - campaign_w0
+            stats.completed, stats.errors, stats.wall_s,
+            interrupted=interrupted,
         )
+    # grid order: deterministic, independent of completion order.
+    out = CampaignResult(meta=meta)
+    for cell in grid:
+        if cell in results:
+            out.add(results[cell])
+        elif cell in errors:
+            out.errors.append(CellError(*cell, error=errors[cell]))
+    if interrupted:
+        raise CampaignInterrupted(
+            "campaign interrupted after "
+            f"{done_offset + len(results) + len(errors)}/{len(grid)} "
+            "cells; the store holds every committed cell",
+            result=out,
+        )
+    log.info(
+        "campaign done: %d ok, %d errors, %.1fs wall",
+        stats.completed, stats.errors, stats.wall_s,
+    )
     if resume and store is not None:
-        # the caller sees the whole campaign — previously committed
-        # cells included — in grid order, exactly as an uninterrupted
-        # run would have returned it.
+        # previously committed cells live only in the store; return the
+        # whole campaign in grid order, as an uninterrupted run would.
         return store.load_campaign()
-    return result
+    return out
 
 
 def campaign_meta(

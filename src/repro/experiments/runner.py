@@ -1,26 +1,39 @@
-"""Parallel campaign execution across worker processes.
+"""The campaign driver's two executors: in-process and process pool.
 
-A Monte-Carlo campaign is embarrassingly parallel: every repetition of
-every ``(experiment, n_tasks)`` cell derives its seeds independently
-from ``(campaign_seed, exp_id, n_tasks, rep)`` via
-``np.random.SeedSequence`` and runs in a fresh simulation. The runner
-exploits that by fanning the grid out to a :class:`ProcessPoolExecutor`.
+:func:`~repro.experiments.campaign.run_campaign` is the one campaign
+driver. It plans the grid (resume included), owns the store, the run
+ledger and the interrupt path, and hands the cells still to run to one
+of two executors defined here, which share one signature:
+
+* :func:`execute_inline` runs cells one after another in this process;
+  a hard cancel preempts the running cell.
+* :func:`execute_pool` fans them out to a :class:`ProcessPoolExecutor`
+  with leases, heartbeats, wall budgets, crash retries, quarantine and
+  drain.
+
+Each executor reports every finished cell through the driver's
+``on_cell(status, cell, payload, meta)`` callback and returns whether
+the run was interrupted. A Monte-Carlo campaign is embarrassingly
+parallel: every repetition of every ``(experiment, n_tasks)`` cell
+derives its seeds independently from ``(campaign_seed, exp_id,
+n_tasks, rep)`` via ``np.random.SeedSequence`` and runs in a fresh
+simulation, so the choice of executor never changes a result.
 
 Determinism contract
 --------------------
-The parallel campaign is *bit-identical* to the serial one:
+The pooled campaign is *bit-identical* to the inline one:
 
 * Seeding depends only on the cell coordinates, never on execution
   order, worker identity, or wall-clock time.
 * Workers return completed :class:`RunResult` values; the parent never
   mutates them.
-* Results are re-ordered into grid order (experiments x task_counts x
-  reps, exactly the serial loop nest) before the
-  :class:`CampaignResult` is assembled, so downstream consumers see the
-  same sequence regardless of which worker finished first.
+* The driver re-orders results into grid order (experiments x
+  task_counts x reps) before assembling the :class:`CampaignResult`, so
+  downstream consumers see the same sequence regardless of which
+  worker finished first.
 
 ``tests/experiments/test_runner.py`` asserts field-by-field equality of
-serial and parallel campaigns — including the per-repetition
+inline and pooled campaigns — including the per-repetition
 telemetry/fault/health digests — and CI re-checks it on every push.
 
 Scheduling
@@ -34,15 +47,15 @@ amortizes process-pool dispatch overhead for the many small cells.
 
 Crash containment
 -----------------
-A worker process dying (segfault, OOM kill) breaks the whole pool: all
+Both executors catch ordinary exceptions per cell and report them as
+errors, so one failing repetition costs that repetition only. A worker
+process dying (segfault, OOM kill) breaks the whole pool: all
 in-flight futures raise :class:`BrokenProcessPool` and we cannot tell
-which chunk was guilty. The runner then splits every unfinished chunk
-into single-cell chunks and retries them in a fresh pool. A cell that
-breaks a pool twice on its own is recorded as a
+which chunk was guilty. The pool executor then splits every unfinished
+chunk into single-cell chunks and retries them in a fresh pool. A cell
+that breaks a pool twice on its own is recorded as a
 :class:`~repro.experiments.campaign.CellError` instead of a result;
-innocent cells complete normally. Ordinary exceptions inside a
-repetition never break the pool — the worker catches them per cell and
-reports them as errors.
+innocent cells complete normally.
 """
 
 from __future__ import annotations
@@ -61,17 +74,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..skeleton import PAPER_TASK_COUNTS
 from .campaign import (
     TABLE1,
     CampaignResult,
-    CellError,
-    CellProgress,
     RunResult,
-    campaign_meta,
+    run_campaign,
     run_single,
 )
-from .ledger import RunLedger
 
 log = logging.getLogger(__name__)
 
@@ -136,7 +145,7 @@ def plan_chunks(cells: Sequence[Cell], jobs: int) -> List[List[Cell]]:
     return chunks
 
 
-# -- worker side (module-level: must be picklable under spawn too) -------------
+# -- cell execution (module-level: must be picklable under spawn too) ----------
 
 
 def _default_run_cell(
@@ -145,7 +154,7 @@ def _default_run_cell(
     resource_pool: Optional[Tuple[str, ...]],
     collect_digests: bool,
 ) -> RunResult:
-    """Execute one repetition in the worker process."""
+    """Execute one repetition (the default ``run_fn``)."""
     exp_id, n_tasks, rep = cell
     return run_single(
         TABLE1[exp_id], n_tasks, rep,
@@ -163,6 +172,31 @@ def _resolve_run_fn(path: Optional[str]):
     return getattr(importlib.import_module(module_name), attr)
 
 
+def _run_cell(
+    run_fn: Callable,
+    cell: Cell,
+    campaign_seed: int,
+    resource_pool: Optional[Tuple[str, ...]],
+    collect_digests: bool,
+) -> Tuple[str, Cell, object, dict]:
+    """Run one cell, containing its exceptions: one ``on_cell`` row.
+
+    One failing repetition costs that repetition, not the chunk and not
+    the campaign. The meta dict carries the cell's wall time and the
+    running process's pid, feeding the run ledger and progress
+    callbacks.
+    """
+    w0 = time.perf_counter()
+    try:
+        payload = run_fn(cell, campaign_seed, resource_pool, collect_digests)
+        status = "ok"
+    except Exception as exc:  # noqa: BLE001 - containment boundary
+        payload = f"{type(exc).__name__}: {exc}"
+        status = "error"
+    meta = {"wall_s": time.perf_counter() - w0, "worker": os.getpid()}
+    return status, cell, payload, meta
+
+
 def _run_chunk(
     chunk: Sequence[Cell],
     campaign_seed: int,
@@ -170,34 +204,20 @@ def _run_chunk(
     collect_digests: bool,
     run_fn_path: Optional[str],
 ) -> List[Tuple[str, Cell, object, dict]]:
-    """Worker entry point: run every cell of one chunk.
-
-    Exceptions are contained per cell — one failing repetition costs
-    that repetition, not the chunk and not the campaign. Each row
-    carries a meta dict with the cell's wall time and the worker's pid,
-    feeding the run ledger and progress callbacks.
-    """
+    """Worker entry point: run every cell of one chunk."""
     run_fn = _resolve_run_fn(run_fn_path)
-    pid = os.getpid()
-    out: List[Tuple[str, Cell, object, dict]] = []
-    for cell in chunk:
-        w0 = time.perf_counter()
-        try:
-            run = run_fn(cell, campaign_seed, resource_pool, collect_digests)
-            meta = {"wall_s": time.perf_counter() - w0, "worker": pid}
-            out.append(("ok", cell, run, meta))
-        except Exception as exc:  # noqa: BLE001 - containment boundary
-            meta = {"wall_s": time.perf_counter() - w0, "worker": pid}
-            out.append(("error", cell, f"{type(exc).__name__}: {exc}", meta))
-    return out
+    return [
+        _run_cell(run_fn, cell, campaign_seed, resource_pool, collect_digests)
+        for cell in chunk
+    ]
 
 
-# -- parent side ---------------------------------------------------------------
+# -- the executors -------------------------------------------------------------
 
 
 @dataclass
 class RunnerStats:
-    """Aggregated telemetry for one parallel campaign."""
+    """Aggregated telemetry for one campaign run."""
 
     jobs: int = 0
     chunks: int = 0
@@ -241,38 +261,68 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _execute_chunks(
-    chunks: List[List[Cell]],
+def execute_inline(
+    cells: Sequence[Cell],
     jobs: int,
     worker_args: Tuple,
     stats: RunnerStats,
     on_cell: Callable[[str, Cell, object, dict], None],
-    supervisor=None,
-    control=None,
-    policy=None,
-    campaign_seed: int = 0,
+    supervisor,
+    control,
 ) -> bool:
-    """Drive chunks to completion, surviving crashes, hangs, and signals.
+    """Run cells one after another in this process.
 
-    Chunks whose futures raise :class:`BrokenProcessPool` are split into
-    single-cell chunks and retried in a fresh pool; a cell that breaks a
-    pool ``policy.max_attempts`` times while running alone is quarantined
-    as an error. When ``policy.cell_timeout_s`` is set, the parent polls
+    ``jobs`` is ignored. A drain request stops before the next cell; a
+    hard cancel surfaces as :class:`KeyboardInterrupt` inside the
+    running cell (the driver installs ``raise_on_hard=True`` for this
+    executor), whose lease is closed ``interrupted`` with nothing
+    committed. Returns ``True`` when the run was interrupted.
+    """
+    *cell_args, run_fn_path = worker_args
+    run_fn = _resolve_run_fn(run_fn_path)
+    stats.chunks = len(cells)
+    for cell in cells:
+        if control.draining or control.hard:
+            return True
+        supervisor.begin(cell, worker=os.getpid())
+        try:
+            row = _run_cell(run_fn, cell, *cell_args)
+        except KeyboardInterrupt:
+            supervisor.close(cell, "interrupted", "hard-cancelled mid-cell")
+            return True
+        on_cell(*row)
+    return False
+
+
+def execute_pool(
+    cells: Sequence[Cell],
+    jobs: int,
+    worker_args: Tuple,
+    stats: RunnerStats,
+    on_cell: Callable[[str, Cell, object, dict], None],
+    supervisor,
+    control,
+) -> bool:
+    """Run cells on ``jobs`` worker processes, surviving crashes, hangs
+    and signals.
+
+    Cells are packed by :func:`plan_chunks`. Chunks whose futures raise
+    :class:`BrokenProcessPool` are split into single-cell chunks and
+    retried in a fresh pool; a cell that breaks a pool
+    ``policy.max_attempts`` times while running alone is quarantined as
+    an error. When ``policy.cell_timeout_s`` is set, the parent polls
     in-flight chunks against a ``cell_timeout_s * len(chunk)`` wall
     budget; an overdue chunk's workers are killed, its cells retried
     under the same attempt budget (with seeded backoff), and innocent
     in-flight chunks are requeued without attempt penalty. ``control``
     drain requests stop new dispatch and let running chunks finish;
-    hard-cancel kills the pool. Returns ``True`` when the campaign was
+    hard-cancel kills the pool. Returns ``True`` when the run was
     interrupted before completion.
     """
-    from .resilience import ExecutionSupervisor, ResiliencePolicy, ShutdownControl
-
-    supervisor = supervisor if supervisor is not None else ExecutionSupervisor()
-    policy = policy if policy is not None else supervisor.policy
-    control = control if control is not None else ShutdownControl()
-
-    pending: List[List[Cell]] = [list(chunk) for chunk in chunks]
+    policy = supervisor.policy
+    campaign_seed = worker_args[0]
+    pending = plan_chunks(cells, jobs)
+    stats.chunks = len(pending)
     solo_crashes: Dict[Cell, int] = {}
     cell_timeouts: Dict[Cell, int] = {}
     draining = False
@@ -447,247 +497,10 @@ def _execute_chunks(
     return False
 
 
-def run_parallel_campaign(
-    experiments: Sequence[int] = (1, 2, 3, 4),
-    task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-    reps: int = 5,
-    campaign_seed: int = 0,
-    resource_pool: Optional[Sequence[str]] = None,
-    verbose: bool = False,
-    jobs: int = 0,
-    collect_digests: bool = False,
-    on_progress: Optional[Callable[[CellProgress], None]] = None,
-    run_fn: Optional[str] = None,
-    stats: Optional[RunnerStats] = None,
-    ledger: Optional[RunLedger] = None,
-    store=None,
-    resume: bool = False,
-    resilience=None,
-    control=None,
-) -> CampaignResult:
-    """Run the experiment grid on ``jobs`` worker processes.
-
-    Produces a :class:`CampaignResult` whose ``runs`` are identical —
-    field by field, in the same order — to the serial
-    :func:`~repro.experiments.campaign.run_campaign`. Repetitions lost
-    to worker crashes appear in ``result.errors`` instead of killing
-    the campaign.
-
-    ``on_progress`` receives one :class:`CellProgress` per completed
-    repetition (coordinates, wall cost, error status). ``ledger``, when
-    given, streams the campaign's NDJSON run ledger (see
-    :mod:`repro.experiments.ledger`). ``store``, when given, is a
-    :class:`repro.experiments.store.CampaignStore` the parent writes
-    each completed repetition (or :class:`CellError`) into — workers
-    return results over the pool and never touch the store, so it has
-    exactly one writer; every cell commits individually, preserving
-    crash containment (a dead worker or parent leaves only whole,
-    committed rows). ``run_fn`` names a ``module:attr`` replacement for
-    the per-cell execution function (used by the crash-containment
-    tests). ``stats``, when given, is filled with aggregated runner
-    telemetry.
-
-    ``resume=True`` (requires ``store``) continues a half-finished
-    campaign; ``resilience`` is a
-    :class:`~repro.experiments.resilience.ResiliencePolicy` (per-cell
-    wall budgets, retry budgets, ``retry_errors``); SIGINT/SIGTERM
-    drain in-flight chunks and raise
-    :class:`~repro.experiments.resilience.CampaignInterrupted` — see
-    :func:`~repro.experiments.campaign.run_campaign` for the contract.
-    """
-    from .resilience import (
-        CampaignInterrupted,
-        ExecutionSupervisor,
-        ResiliencePolicy,
-        ShutdownControl,
-        config_digest,
-        prepare_resume,
-    )
-
-    t0 = time.perf_counter()
-    jobs = resolve_jobs(jobs)
-    experiments = list(experiments)
-    task_counts = list(task_counts)
-    grid: List[Cell] = [
-        (exp_id, n_tasks, rep)
-        for exp_id in experiments
-        for n_tasks in task_counts
-        for rep in range(reps)
-    ]
-    stats = stats if stats is not None else RunnerStats()
-    stats.jobs = jobs
-    stats.cells = len(grid)
-    policy = resilience if resilience is not None else ResiliencePolicy()
-
-    meta = campaign_meta(
-        experiments=experiments, task_counts=task_counts, reps=reps,
-        campaign_seed=campaign_seed, resource_pool=resource_pool,
-    )
-    if resume:
-        if store is None:
-            raise ValueError("resume=True requires a store")
-        plan = prepare_resume(
-            store, meta, grid, retry_errors=policy.retry_errors
-        )
-        remaining = plan.remaining
-    else:
-        plan = None
-        remaining = list(grid)
-    done_offset = len(grid) - len(remaining)
-    log.info(
-        "parallel campaign: %d cells (%d to run) on %d worker(s), seed=%d",
-        len(grid), len(remaining), jobs, campaign_seed,
-    )
-    if store is not None:
-        store.set_campaign_meta(meta)
-        store.set_config_digest(config_digest(meta))
-    if ledger is not None:
-        ledger.campaign_start(len(grid), meta)
-        if plan is not None:
-            ledger.campaign_resumed(
-                committed=len(plan.committed),
-                errors_skipped=len(plan.errors_skipped),
-                errors_retried=len(plan.errors_retried),
-                reclaimed=plan.reclaimed_leases,
-                remaining=len(plan.remaining),
-            )
-
-    pool_arg = tuple(resource_pool) if resource_pool is not None else None
-    results: Dict[Cell, RunResult] = {}
-    errors: Dict[Cell, str] = {}
-    supervisor = ExecutionSupervisor(store=store, ledger=ledger, policy=policy)
-    own_control = control is None
-    if own_control:
-        # parallel parent: poll the flags instead of raising — a raise
-        # could land inside pool bookkeeping and corrupt the teardown.
-        control = ShutdownControl(raise_on_hard=False)
-    control.install()
-
-    def on_cell(status: str, cell: Cell, payload: object, cmeta: dict) -> None:
-        run: Optional[RunResult] = None
-        error: Optional[str] = None
-        if status == "ok":
-            run = payload  # type: ignore[assignment]
-            results[cell] = run
-            stats.completed += 1
-            stats.events += getattr(payload, "events", 0)
-            supervisor.commit(cell, run, worker=cmeta.get("worker"))
-        else:
-            error = str(payload)
-            errors[cell] = error
-            stats.errors += 1
-            log.warning("cell %s failed: %s", cell, error)
-            supervisor.fail(cell, error)
-        if verbose:
-            exp_id, n_tasks, rep = cell
-            if run is not None:
-                print(
-                    f"{TABLE1[exp_id].label} n={n_tasks} rep={rep}: "
-                    f"TTC={run.ttc:.0f}s Tw={run.tw:.0f}s "
-                    f"done={run.units_done}/{n_tasks}"
-                )
-            else:
-                print(
-                    f"{TABLE1[exp_id].label} n={n_tasks} rep={rep}: "
-                    f"ERROR {payload}"
-                )
-        progress = CellProgress(
-            done=done_offset + len(results) + len(errors), total=len(grid),
-            cell=cell, wall_s=float(cmeta.get("wall_s", 0.0)),
-            error=error, ttc=run.ttc if run is not None else float("nan"),
-        )
-        if ledger is not None:
-            ledger.cell(progress, run=run, worker=cmeta.get("worker"))
-        if on_progress is not None:
-            on_progress(progress)
-
-    interrupted = False
-    try:
-        if jobs <= 1 or len(remaining) <= 1:
-            # Single worker: run in-process. Same code path as the serial
-            # campaign, same results; no pool overhead, and it keeps
-            # ``--jobs 1`` usable on machines where fork is unavailable.
-            for cell in remaining:
-                if control.draining or control.hard:
-                    interrupted = True
-                    break
-                supervisor.begin(cell, worker=os.getpid())
-                try:
-                    for status, c, payload, cmeta in _run_chunk(
-                        [cell], campaign_seed, pool_arg, collect_digests,
-                        run_fn,
-                    ):
-                        on_cell(status, c, payload, cmeta)
-                except KeyboardInterrupt:
-                    supervisor.close(
-                        cell, "interrupted", "hard-cancelled mid-cell"
-                    )
-                    interrupted = True
-                    break
-            stats.chunks = len(remaining)
-        else:
-            chunks = plan_chunks(remaining, jobs)
-            stats.chunks = len(chunks)
-            interrupted = _execute_chunks(
-                chunks, jobs,
-                (campaign_seed, pool_arg, collect_digests, run_fn),
-                stats, on_cell,
-                supervisor=supervisor, control=control, policy=policy,
-                campaign_seed=campaign_seed,
-            )
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        control.restore()
-
-    stats.wall_s = time.perf_counter() - t0
-    if interrupted:
-        stats.interrupted = True
-        if store is not None:
-            store.set_interrupted(True)
-        if ledger is not None:
-            ledger.campaign_end(
-                stats.completed, stats.errors, stats.wall_s,
-                interrupted=True,
-            )
-        partial = CampaignResult(meta=meta)
-        for cell in grid:
-            if cell in results:
-                partial.add(results[cell])
-            elif cell in errors:
-                partial.errors.append(CellError(*cell, error=errors[cell]))
-        raise CampaignInterrupted(
-            "campaign interrupted after "
-            f"{done_offset + len(results) + len(errors)}/{len(grid)} "
-            "cells; the store holds every committed cell",
-            result=partial,
-        )
-
-    # Re-assemble in grid order: deterministic, independent of worker
-    # completion order.
-    session = set(remaining)
-    out = CampaignResult(meta=meta)
-    for cell in grid:
-        if cell in results:
-            out.add(results[cell])
-        elif cell in errors:
-            out.errors.append(CellError(*cell, error=errors[cell]))
-        elif cell in session:  # pragma: no cover - defensive; every
-            # dispatched cell resolves above
-            out.errors.append(CellError(*cell, error="repetition lost"))
-    if store is not None:
-        store.set_interrupted(False)
-    if ledger is not None:
-        ledger.campaign_end(stats.completed, stats.errors, stats.wall_s)
-    log.info(
-        "campaign done: %d ok, %d errors, %.1fs wall",
-        stats.completed, stats.errors, stats.wall_s,
-    )
-    if resume and store is not None:
-        # previously committed cells live only in the store; return the
-        # whole campaign in grid order, as an uninterrupted run would.
-        return store.load_campaign()
-    return out
+def run_parallel_campaign(*, jobs: int = 0, **kwargs) -> CampaignResult:
+    """:func:`~repro.experiments.campaign.run_campaign` with ``jobs``
+    defaulting to one worker per usable CPU."""
+    return run_campaign(jobs=jobs, **kwargs)
 
 
 def parallel_map(

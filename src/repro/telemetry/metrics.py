@@ -37,14 +37,13 @@ class Counter:
 class Gauge:
     """A point-in-time value: explicitly set, or read through a callback.
 
-    A *diagnostic* gauge reports host- or backend-dependent machinery
-    state (heap compactions, cache hit counts) whose value legitimately
-    differs between equivalent runs — e.g. between the heap and calendar
-    event-queue backends, or between serial and forked parallel workers.
-    Diagnostic gauges are excluded from the default :meth:`snapshot` so
-    they never enter sampled telemetry (and therefore never enter run
-    digests), while still showing up in ``render_table`` and in
-    ``snapshot(diagnostics=True)``.
+    A *diagnostic* gauge reports machinery state (heap compactions)
+    that is not part of the simulated history, or whose value
+    legitimately differs between equivalent runs — e.g. between serial
+    and forked parallel workers. Diagnostic gauges are excluded from the
+    default :meth:`snapshot` so they never enter sampled telemetry (and
+    therefore never enter run digests), while still showing up in
+    ``render_table`` and in ``snapshot(diagnostics=True)``.
     """
 
     __slots__ = ("name", "_value", "fn", "diagnostic")

@@ -1,6 +1,10 @@
 """Unit tests for the event queue and tracer."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des.errors import SchedulingError
 from repro.des.events import EventQueue, Tracer
@@ -83,6 +87,41 @@ def test_pop_empty_raises():
 def test_nan_time_rejected():
     with pytest.raises(SchedulingError):
         EventQueue().push(float("nan"), lambda: None)
+
+
+def test_orders_by_time_priority_seq():
+    q = EventQueue()
+    q.push(5.0, lambda: None)
+    q.push(1.0, lambda: None)
+    q.push(5.0, lambda: None, priority=-1)
+    q.push(1.0, lambda: None)
+    got = [(ev.time, ev.priority, ev.seq) for ev in (q.pop() for _ in range(4))]
+    # time first, then priority, then seq FIFO on full ties
+    assert got == [(1.0, 0, 1), (1.0, 0, 3), (5.0, -1, 2), (5.0, 0, 0)]
+    assert len(q) == 0
+
+
+def test_nan_rejected_inf_allowed():
+    q = EventQueue()
+    with pytest.raises(SchedulingError):
+        q.push(float("nan"), lambda: None)
+    q.push(float("inf"), lambda: None)
+    q.push(float("-inf"), lambda: None)
+    q.push(0.0, lambda: None)
+    times = [q.pop().time for _ in range(3)]
+    assert times == [float("-inf"), 0.0, float("inf")]
+
+
+def test_len_counts_live_only():
+    q = EventQueue()
+    a = q.push(1.0, lambda: None)
+    q.push(2.0, lambda: None)
+    q.cancel(a)
+    assert len(q) == 1
+    assert bool(q)
+    q.pop()
+    assert len(q) == 0
+    assert not bool(q)
 
 
 def test_tracer_record_and_query():
@@ -193,3 +232,101 @@ def test_compaction_preserves_pop_order():
     while q:
         popped.append(q.pop())
     assert popped == expected
+
+
+# -- randomized oracle: the heap against a sorted-list reference model --------
+
+
+class _SortedListQueue:
+    """Reference model: the live ``(time, priority, seq)`` keys, sorted.
+
+    Pushing numbers keys like :class:`EventQueue` does (``seq`` counts
+    pushes from 0); cancelling a key that already popped or was already
+    cancelled finds nothing to remove, which is the no-op the real queue
+    promises.
+    """
+
+    def __init__(self):
+        self.live = []
+        self.seq = 0
+
+    def push(self, time, priority):
+        key = (time, priority, self.seq)
+        self.seq += 1
+        bisect.insort(self.live, key)
+        return key
+
+    def cancel(self, key):
+        i = bisect.bisect_left(self.live, key)
+        if i < len(self.live) and self.live[i] == key:
+            del self.live[i]
+
+    def pop(self):
+        return self.live.pop(0) if self.live else None
+
+
+# Times drawn from a tiny grid => heavy ties; priorities collide too.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.integers(0, 12),  # time on a coarse grid
+            st.integers(-1, 1),  # priority
+        ),
+        st.tuples(st.just("pop"), st.just(0), st.just(0)),
+        st.tuples(
+            st.just("cancel"),
+            st.integers(0, 40),  # index into pushed handles (mod len)
+            st.just(0),
+        ),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+def _key(ev):
+    return None if ev is None else (ev.time, ev.priority, ev.seq)
+
+
+@given(ops=_ops)
+@settings(max_examples=300, deadline=None)
+def test_property_pop_matches_reference_model(ops):
+    queue, model = EventQueue(), _SortedListQueue()
+    handles, keys = [], []
+    for op, a, b in ops:
+        if op == "push":
+            handles.append(queue.push(float(a), lambda: None, (), b))
+            keys.append(model.push(float(a), b))
+        elif op == "cancel" and handles:
+            # may hit live, fired, or already-cancelled events: all legal
+            queue.cancel(handles[a % len(handles)])
+            model.cancel(keys[a % len(keys)])
+        elif op == "pop":
+            assert _key(queue.pop_until(float("inf"))) == model.pop()
+        assert len(queue) == len(model.live)
+    drained = []
+    while queue:
+        drained.append(_key(queue.pop()))
+    assert drained == model.live
+    assert queue.pop_until(float("inf")) is None
+
+
+@given(
+    times=st.lists(
+        st.floats(
+            min_value=0.0,
+            max_value=1e6,
+            allow_nan=False,
+            allow_infinity=False,
+        ),
+        min_size=1,
+        max_size=120,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_property_float_times_pop_sorted(times):
+    q = EventQueue()
+    for t in times:
+        q.push(t, lambda: None)
+    assert [q.pop().time for _ in range(len(times))] == sorted(times)

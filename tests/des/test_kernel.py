@@ -154,3 +154,25 @@ def test_run_process_raises_process_error():
     p = sim.process(proc())
     with pytest.raises(ValueError, match="boom"):
         sim.run_process(p)
+
+
+def test_run_matches_reference_order():
+    """A run dispatches exactly the live events, sorted by
+    ``(time, priority, scheduling order)``."""
+    sim = Simulation(seed=42)
+    fired = []
+    expected = []
+    x = sim.rng.get("t").bit_generator.state["state"]["state"]
+    handles = []
+    for i in range(600):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        t = (x >> 16) % 10_000 / 7.0
+        priority = i % 3 - 1
+        handles.append(sim.call_at(t, fired.append, (t, i), priority=priority))
+        if i % 5 and t <= 2000.0:  # every fifth event is cancelled below
+            expected.append((t, priority, i))
+    for h in handles[::5]:
+        sim.cancel(h)
+    sim.run(until=2000.0)
+    assert fired == [(t, i) for t, _, i in sorted(expected)]
+    assert sim.now == 2000.0

@@ -8,10 +8,18 @@ repetition seeds itself from its grid coordinates alone.
 import dataclasses
 import json
 import os
+import signal
+import time
 
 import pytest
 
-from repro.experiments import run_campaign
+from repro.experiments import (
+    CampaignInterrupted,
+    CampaignStore,
+    RunLedger,
+    read_ledger_any,
+    run_campaign,
+)
 from repro.experiments.campaign import CampaignResult, CellError, RunResult
 from repro.experiments.runner import (
     RunnerStats,
@@ -55,6 +63,16 @@ def _error_run(cell, campaign_seed, resource_pool, collect_digests):
 def _crash_run(cell, campaign_seed, resource_pool, collect_digests):
     if cell == (1, 16, 1):
         os._exit(13)  # simulate a segfaulting worker
+    return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
+
+
+def _self_cancel_run(cell, campaign_seed, resource_pool, collect_digests):
+    # two SIGINTs (drain, then hard cancel), then 3 s of work that only
+    # a preempting executor cuts short
+    for _ in range(2):
+        os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.05)
+    time.sleep(3.0)
     return _fake_run(cell, campaign_seed, resource_pool, collect_digests)
 
 
@@ -200,6 +218,67 @@ class TestContainment:
         assert [(r.exp_id, r.n_tasks, r.rep) for r in result.runs] == [
             (1, 8, 0), (1, 8, 1), (1, 16, 0), (1, 16, 1),
         ]
+
+
+# -- one driver: the same guarantees on both executors -------------------------
+
+
+class TestOneDriver:
+    GRID_KW = dict(
+        experiments=(1,), task_counts=(8, 16), reps=2, campaign_seed=0,
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_exception_contained_on_every_executor(self, jobs, tmp_path):
+        ndjson = str(tmp_path / "c.ndjson")
+        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+            ledger = RunLedger(ndjson, store=store)
+            result = run_campaign(
+                jobs=jobs, run_fn="tests.experiments.test_runner:_error_run",
+                store=store, ledger=ledger, **self.GRID_KW,
+            )
+            ledger.close()
+            states = {
+                (r["n_tasks"], r["rep"]): r["state"]
+                for r in store.attempt_rows()
+            }
+            assert store.run_count() == 2
+            assert store.error_cells() == {(1, 8, 1), (1, 16, 1)}
+            assert store.lease_count() == 0
+            assert store.interrupted() is False
+        assert result.errors == [
+            CellError(1, 8, 1, "ValueError: injected failure"),
+            CellError(1, 16, 1, "ValueError: injected failure"),
+        ]
+        assert [(r.n_tasks, r.rep) for r in result.runs] == [(8, 0), (16, 0)]
+        assert states == {
+            (8, 0): "committed", (8, 1): "failed",
+            (16, 0): "committed", (16, 1): "failed",
+        }
+        end = [r for r in read_ledger_any(ndjson) if r["kind"] == "campaign-end"]
+        assert len(end) == 1
+        assert (end[0]["completed"], end[0]["errors"]) == (2, 2)
+        assert end[0]["interrupted"] is False
+
+    @pytest.mark.parametrize("driver", [run_campaign, run_parallel_campaign])
+    def test_hard_cancel_preempts_the_inline_cell(self, driver, tmp_path):
+        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+            w0 = time.perf_counter()
+            with pytest.raises(CampaignInterrupted) as err:
+                driver(
+                    jobs=1,
+                    run_fn="tests.experiments.test_runner:_self_cancel_run",
+                    store=store, **self.GRID_KW,
+                )
+            elapsed = time.perf_counter() - w0
+            rows = store.attempt_rows()
+            assert store.run_count() == 0
+            assert store.interrupted() is True
+        assert elapsed < 1.5  # the cell alone would take 3 s
+        assert [(r["n_tasks"], r["rep"], r["state"]) for r in rows] == [
+            (8, 0, "interrupted"),
+        ]
+        assert err.value.result.runs == []
 
 
 # -- parallel_map --------------------------------------------------------------
