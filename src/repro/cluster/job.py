@@ -67,8 +67,8 @@ class BatchJob:
     user:
         Account name, used by priority/fairshare policies.
     kind:
-        Free-form tag (``"background"``, ``"pilot"``, ...) used by traces
-        and analyses.
+        Free-form tag (``"background"``, ``"pilot"``, ...) used by
+        listeners and analyses.
     """
 
     cores: int

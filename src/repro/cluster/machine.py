@@ -6,9 +6,9 @@ scheduling policy which to start whenever the state changes (a submission
 arrives or a job ends). Started jobs hold node cores until they complete
 or hit their walltime limit.
 
-Every transition is written to the simulation trace, and completed-job
-wait times are kept in a history ring that the Bundle layer uses for its
-predictive interface.
+Every transition updates the job's own state and times and is handed to
+the registered transition listeners; completed-job wait times are kept in
+a history ring that the Bundle layer uses for its predictive interface.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from .schedulers import (
     SchedulerView,
 )
 from .schedulers.base import PriorityFn
-
-# Enum .value is a descriptor read; transitions are hot, so cache the
-# per-state trace strings once.
-_JOB_STATE_VALUE = {s: s.value for s in JobState}
-
 
 class SubmissionError(Exception):
     """Raised when a job can never run on this resource."""
@@ -213,10 +208,6 @@ class Cluster:
         self._offline_until = max(
             self._offline_until, self.sim.now + duration
         )
-        self.sim.trace.record(
-            self.sim.now, "resource", self.name, "OFFLINE",
-            until=self._offline_until,
-        )
         for job, _, end_event in list(self._running.values()):
             self.sim.cancel(end_event)
             self._running.pop(job.uid)
@@ -229,9 +220,6 @@ class Cluster:
     def _back_online(self) -> None:
         if self.is_offline:
             return  # a later outage extended the window
-        self.sim.trace.record(
-            self.sim.now, "resource", self.name, "ONLINE"
-        )
         self._schedule_dispatch()
 
     def expected_drain_time(self) -> float:
@@ -398,14 +386,5 @@ class Cluster:
     def _transition(self, job: BatchJob, new_state: JobState) -> None:
         old = job.state
         job.advance(new_state)
-        self.sim.trace.record(
-            self.sim._now,
-            "batch-job",
-            job.name,
-            _JOB_STATE_VALUE[new_state],
-            resource=self.name,
-            cores=job.cores,
-            kind=job.kind,
-        )
         for fn in self._listener_snapshot:
             fn(job, old, new_state)

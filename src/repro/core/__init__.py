@@ -5,7 +5,8 @@ decisions that couple a distributed application to multiple dynamic
 resources explicit (the Execution Strategy), deriving them from
 integrated application + resource information (the planner), enacting
 them through the pilot layer (the Execution Manager), and decomposing
-the measured time-to-completion from middleware traces.
+the measured time-to-completion from the entities' recorded state
+histories.
 """
 
 from .adaptive import AdaptationEvent, AdaptationPolicy, PilotReinforcer
@@ -13,7 +14,6 @@ from .analytics import (
     AllocationMetrics,
     allocation_metrics,
     concurrency_series,
-    export_trace,
     peak_concurrency,
     state_durations,
 )
@@ -74,7 +74,6 @@ __all__ = [
     "AllocationMetrics",
     "allocation_metrics",
     "concurrency_series",
-    "export_trace",
     "peak_concurrency",
     "render_report_timeline",
     "render_timeline",

@@ -1,27 +1,25 @@
-"""Session analytics over middleware traces (the virtual laboratory).
+"""Session analytics over entity state histories (the virtual laboratory).
 
 The AIMES middleware's self-introspection makes every execution a data
-set. This module turns raw traces and instrumented entities into the
-quantities an experimenter plots:
+set. This module turns the state histories of instrumented entities into
+the quantities an experimenter plots:
 
 * :func:`state_durations` — how long entities spent in each state;
 * :func:`concurrency_series` — how many units were executing over time;
 * :func:`allocation_metrics` — pilot core-seconds consumed vs used
   (the paper's "allocation consumption" concern: canceling pilots when
-  tasks finish is only half the story — how full were they?);
-* :func:`export_trace` — dump the trace as JSON for external tooling
-  (the RADICAL-Analytics workflow).
+  tasks finish is only half the story — how full were they?).
+
+For external tooling (the RADICAL-Analytics workflow), export the
+telemetry hub with :mod:`repro.telemetry.exporters`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..des import Tracer
 from ..pilot import ComputePilot, ComputeUnit, PilotState, UnitState
-from ..telemetry import trace_records_json
 
 
 def state_durations(
@@ -131,37 +129,3 @@ def allocation_metrics(
         consumed_core_s=consumed, used_core_s=used, efficiency=efficiency
     )
 
-
-def export_trace(records, category: Optional[str] = None) -> str:
-    """Serialize trace records to JSON.
-
-    The rendering lives with the other exporters
-    (:func:`repro.telemetry.exporters.trace_records_json`); this is a
-    thin delegation kept for API stability. Pass the record sequence
-    directly (``export_trace(tracer.records)`` or a ``query(...)``
-    result).
-
-    .. deprecated::
-        Passing a :class:`~repro.des.Tracer` (with the optional
-        ``category=`` filter) is the old signature; it still works but
-        emits a :class:`DeprecationWarning`. Filter via
-        ``tracer.query(category=...)`` and pass the records instead.
-    """
-    if isinstance(records, Tracer):
-        warnings.warn(
-            "export_trace(tracer, category=...) is deprecated; pass the "
-            "records directly, e.g. export_trace(tracer.query(category=...))"
-            " or export_trace(tracer.records)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        tracer = records
-        records = (
-            tracer.query(category=category) if category else tracer.records
-        )
-    elif category is not None:
-        raise TypeError(
-            "category= is only meaningful with the deprecated Tracer "
-            "signature; filter the records before calling export_trace"
-        )
-    return trace_records_json(records)

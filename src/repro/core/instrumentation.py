@@ -1,4 +1,4 @@
-"""TTC decomposition from middleware traces (self-introspection).
+"""TTC decomposition from entity state histories (self-introspection).
 
 The AIMES middleware records every state transition with a timestamp;
 analysis then *derives* the time components of TTC from those records —
@@ -63,7 +63,7 @@ class TTCDecomposition:
 
 
 class IntrospectionError(Exception):
-    """Raised when traces are insufficient to decompose the execution."""
+    """Raised when histories are insufficient to decompose the execution."""
 
 
 def unit_intervals(

@@ -1,9 +1,10 @@
 """Discrete-event simulation kernel.
 
 This package is the substrate's foundation: a deterministic event queue, a
-simulated clock, generator-based processes, shared-resource primitives,
-seeded RNG streams, and a trace log used for self-introspection by the
-middleware layers above.
+simulated clock, generator-based processes, shared-resource primitives
+and seeded RNG streams. Each simulation also carries a telemetry hub
+(:mod:`repro.telemetry`), the one record of entity transitions that the
+middleware layers above introspect.
 """
 
 from .errors import (
@@ -13,7 +14,7 @@ from .errors import (
     SchedulingError,
     SimulationError,
 )
-from .events import EventQueue, ScheduledEvent, TraceRecord, Tracer
+from .events import EventQueue, ScheduledEvent
 from .hazard import hazard_process
 from .kernel import Simulation
 from .process import AllOf, AnyOf, Process, Signal, Timeout, Waitable
@@ -38,8 +39,6 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "Waitable",
     "hazard_process",
 ]

@@ -1,9 +1,10 @@
 """The discrete-event simulation kernel.
 
-A :class:`Simulation` owns the simulated clock, the event queue, the trace
-log, and the registry of seeded RNG streams. Everything in the substrate
-(clusters, networks, pilots) is driven by one shared kernel so that the
-whole middleware stack advances on a single, deterministic timeline.
+A :class:`Simulation` owns the simulated clock, the event queue, the
+telemetry hub, and the registry of seeded RNG streams. Everything in the
+substrate (clusters, networks, pilots) is driven by one shared kernel so
+that the whole middleware stack advances on a single, deterministic
+timeline.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..telemetry import TelemetryHub
 from .errors import SchedulingError, SimulationError
-from .events import _CANCELLED, EventQueue, ScheduledEvent, Tracer
+from .events import _CANCELLED, EventQueue, ScheduledEvent
 from .process import AllOf, AnyOf, Process, Signal, Timeout, Waitable
 from .rng import RngStreams
 
@@ -32,7 +33,6 @@ class Simulation:
         self._running = False
         self.events_processed = 0
         self.rng = RngStreams(seed)
-        self.trace = Tracer()
         self.telemetry = TelemetryHub(
             clock=lambda: self._now, run_id=f"sim-{seed}"
         )

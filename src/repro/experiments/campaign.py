@@ -34,7 +34,7 @@ def _gc_paused():
     """Suspend the cyclic garbage collector for one repetition.
 
     A repetition allocates hundreds of thousands of short-lived tracked
-    objects (events, trace records, state tuples); with the default
+    objects (events, jobs, state tuples); with the default
     thresholds the gen-2 collector fires mid-simulation and costs more
     than the entire attribution sweep. Pausing for the bounded lifetime
     of one repetition moves that work to the natural boundary between

@@ -16,8 +16,9 @@ per-resource health state:
 
 Each resource gets a :class:`~repro.health.breaker.CircuitBreaker` and a
 smoothed health score; every transition lands in the deterministic
-:class:`~repro.health.events.HealthEventLog` and the kernel trace, so
-the supervision timeline is reproducible byte-for-byte from the seeds.
+:class:`~repro.health.events.HealthEventLog` (and, when telemetry is
+on, as a hub instant), so the supervision timeline is reproducible
+byte-for-byte from the seeds.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from .events import HealthEvent, HealthEventLog
 
 #: EWMA weight of the previous score (successes/failures move it slowly).
 SCORE_DECAY = 0.7
+
+
+def emit_health_instant(tel, kind: str, target: str, **details) -> None:
+    """Mark a supervision event on the hub track ``health/<target>``."""
+    if tel.enabled:
+        tel.instant("health", kind, track=f"health/{target}", **details)
+        tel.metrics.counter(f"health.event.{kind}").inc()
 
 
 class HealthRegistry:
@@ -45,7 +53,7 @@ class HealthRegistry:
             raise ValueError("score_decay must be in [0, 1)")
         self.sim = sim
         #: breaker policy for all resources; None disables quarantining
-        #: (the registry still scores resources and keeps the trace).
+        #: (the registry still scores resources and keeps the event log).
         self.breaker_policy = breaker
         self.score_decay = score_decay
         self.log = HealthEventLog()
@@ -207,15 +215,9 @@ class HealthRegistry:
             self._listeners.remove(fn)
 
     def record_event(self, kind: str, target: str, **details) -> HealthEvent:
-        """Append a supervision event (watchdog, supervisor) to the trace."""
+        """Append a supervision event (watchdog, supervisor) to the log."""
         ev = self.log.record(self.sim.now, kind, target, **details)
-        self.sim.trace.record(
-            self.sim.now, "health", target, kind.upper(), **details
-        )
-        tel = self.sim.telemetry
-        if tel.enabled:
-            tel.instant("health", kind, track=f"health/{target}", **details)
-            tel.metrics.counter(f"health.event.{kind}").inc()
+        emit_health_instant(self.sim.telemetry, kind, target, **details)
         for fn in list(self._listeners):
             fn(ev)
         return ev

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..des import Simulation
+from .registry import emit_health_instant
 
 #: states with a live driving process where "no transition" means "stuck".
 _WATCHED_STATES = ("STAGING_INPUT", "EXECUTING", "STAGING_OUTPUT")
@@ -104,10 +105,13 @@ class UnitWatchdog:
                         resource=resource,
                     )
                 else:
-                    self.sim.trace.record(
-                        self.sim.now, "health", unit.name,
-                        "WATCHDOG-RESCHEDULE", state=state,
+                    emit_health_instant(
+                        self.sim.telemetry,
+                        "watchdog-reschedule",
+                        unit.name,
+                        state=state,
                         stalled_s=stalled_for,
+                        resource=resource,
                     )
             if not pending:
                 return  # all units final: the watchdog's job is done

@@ -51,10 +51,6 @@ class ComputePilot:
         self.state = PilotState.NEW
         self.history = StateHistory()
         self.history.append(self.state.value, sim.now)
-        sim.trace.record(
-            sim.now, "pilot", self.uid, PilotState.NEW.value,
-            resource=description.resource, cores=description.cores,
-        )
         sim.telemetry.transition(
             "pilot", self.uid, PilotState.NEW.value,
             resource=description.resource, cores=description.cores,
@@ -120,10 +116,6 @@ class ComputePilot:
         sv = new_state.value
         now = self.sim._now  # property bypass on the hot path
         self.history.append(sv, now)
-        self.sim.trace.record(
-            now, "pilot", self.uid, sv,
-            resource=self.resource, cores=self.cores,
-        )
         tel = self.sim.telemetry
         if tel.enabled:
             tel.transition(
@@ -155,10 +147,6 @@ class ComputeUnit:
         self.state = UnitState.NEW
         self.history = StateHistory()
         self.history.append(self.state.value, sim.now)
-        sim.trace.record(
-            sim.now, "unit", self.uid, UnitState.NEW.value,
-            name=description.name, pilot=None,
-        )
         sim.telemetry.transition(
             "unit", self.uid, UnitState.NEW.value, task=description.name,
         )
@@ -209,11 +197,6 @@ class ComputeUnit:
         now = self.sim._now  # property bypass on the hot path
         pilot_uid = self.pilot.uid if self.pilot else None
         self.history.append(sv, now)
-        self.sim.trace.record(
-            now, "unit", self.uid, sv,
-            name=self.description.name,
-            pilot=pilot_uid,
-        )
         tel = self.sim.telemetry
         if tel.enabled:
             tel.transition(

@@ -2,9 +2,10 @@
 
 RADICAL-Pilot's distinguishing capability (per the paper) is that every
 state transition of every component is timestamped and recorded. Both
-entities here keep an ordered ``history`` of (state, time) pairs and
-write each transition to the simulation trace; the TTC decomposition in
-:mod:`repro.core.instrumentation` is derived from these records.
+entities here keep an ordered ``history`` of (state, time) pairs, and
+each transition also becomes a span on the entity's telemetry track; the
+TTC decomposition in :mod:`repro.core.instrumentation` is derived from
+the histories.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ class JobDescription:
 
     #: substrate-only: how long the job actually runs, in seconds.
     simulated_runtime_s: float = 0.0
-    #: tag propagated into traces ("pilot", "probe", ...).
+    #: tag propagated to the batch job ("pilot", "probe", ...).
     kind: str = "pilot"
 
     def validate(self) -> None:

@@ -13,7 +13,7 @@ those instruments report to:
 * :mod:`~repro.telemetry.profiler` — wall-clock attribution per kernel
   event type, so benchmark regressions become diagnosable;
 * :mod:`~repro.telemetry.exporters` — Chrome trace-event JSON (loadable
-  in Perfetto), OTLP-style JSON spans, and the legacy flat trace dump;
+  in Perfetto) and OTLP-style JSON spans;
 * :mod:`~repro.telemetry.digest` — the canonical-JSON/SHA-256 contract
   shared by the fault log, the health-event log, and the telemetry hub,
   so every record stream is byte-reproducible under a fixed seed;
@@ -53,7 +53,6 @@ from .exporters import (
     otlp_trace,
     save_chrome_trace,
     save_otlp_trace,
-    trace_records_json,
 )
 from .hub import TelemetryHub, TelemetrySummary
 from .metrics import (
@@ -97,5 +96,4 @@ __all__ = [
     "save_otlp_trace",
     "sha256_digest",
     "sweep_attribution",
-    "trace_records_json",
 ]

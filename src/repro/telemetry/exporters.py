@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, OTLP-style JSON, flat JSON.
+"""Trace exporters: Chrome trace-event JSON and OTLP-style JSON.
 
 * :func:`chrome_trace` renders the hub into the Chrome trace-event
   format (the JSON Perfetto and ``chrome://tracing`` load). Virtual time
@@ -8,15 +8,12 @@
 * :func:`otlp_trace` renders spans as OTLP-style JSON
   (``resourceSpans`` → ``scopeSpans`` → ``spans``) with deterministic
   trace/span ids, the shape OpenTelemetry collectors ingest.
-* :func:`trace_records_json` is the flat per-record dump the legacy
-  ``analytics.export_trace`` API has always produced; it lives here so
-  the one subsystem owns every serialization of middleware telemetry.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from .digest import sha256_digest
 from .hub import TelemetryHub
@@ -39,16 +36,11 @@ def _track_tids(spans: Iterable[Span], instants: Iterable[dict]) -> Dict[str, in
     return tids
 
 
-def chrome_trace(
-    hub: TelemetryHub,
-    tracer=None,
-    wall_track: bool = True,
-) -> Dict[str, Any]:
+def chrome_trace(hub: TelemetryHub, wall_track: bool = True) -> Dict[str, Any]:
     """Render the hub as a Chrome trace-event JSON object.
 
-    ``tracer`` (a :class:`~repro.des.Tracer`) optionally contributes its
-    flat records as instant events on per-category lanes, putting the
-    classic state-transition log on the same timeline as the spans.
+    Spans become complete (``X``) events and instants become
+    thread-scoped instant (``i``) events, each on its track's tid.
     """
     events: List[Dict[str, Any]] = []
     tids = _track_tids(hub.spans, hub.instants)
@@ -105,25 +97,6 @@ def chrome_trace(
             "cat": inst["category"],
             "args": inst["attrs"],
         })
-    if tracer is not None:
-        trace_tids: Dict[str, int] = {}
-        base = len(tids)
-        for rec in tracer.records:
-            lane = f"trace/{rec.category}"
-            tid = trace_tids.get(lane)
-            if tid is None:
-                tid = trace_tids[lane] = base + len(trace_tids) + 1
-                events.append(meta(PID_VIRTUAL, tid, lane, "thread_name"))
-            events.append({
-                "ph": "i",
-                "s": "t",
-                "pid": PID_VIRTUAL,
-                "tid": tid,
-                "ts": rec.time * 1e6,
-                "name": f"{rec.entity}:{rec.event}",
-                "cat": rec.category,
-                "args": _plain(rec.data),
-            })
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -131,10 +104,10 @@ def chrome_trace(
     }
 
 
-def save_chrome_trace(hub: TelemetryHub, path: str, tracer=None) -> None:
+def save_chrome_trace(hub: TelemetryHub, path: str) -> None:
     """Write :func:`chrome_trace` output to ``path`` (open in Perfetto)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(hub, tracer=tracer), fh)
+        json.dump(chrome_trace(hub), fh)
 
 
 # -- OTLP-style JSON -----------------------------------------------------------
@@ -199,29 +172,3 @@ def otlp_trace(hub: TelemetryHub) -> Dict[str, Any]:
 def save_otlp_trace(hub: TelemetryHub, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(otlp_trace(hub), fh)
-
-
-# -- the legacy flat trace dump ------------------------------------------------
-
-def trace_records_json(records: Iterable, indent: Optional[int] = 1) -> str:
-    """Serialize flat :class:`~repro.des.TraceRecord` rows to JSON.
-
-    This is the rendering ``analytics.export_trace`` has always shipped
-    (tuples become lists); it now lives with the other exporters.
-    """
-    return json.dumps(
-        [
-            {
-                "time": r.time,
-                "category": r.category,
-                "entity": r.entity,
-                "event": r.event,
-                "data": {
-                    k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in r.data.items()
-                },
-            }
-            for r in records
-        ],
-        indent=indent,
-    )

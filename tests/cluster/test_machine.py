@@ -172,10 +172,16 @@ def test_trace_records_batch_job_states():
     sim = Simulation()
     cluster = make_cluster(sim)
     job = BatchJob(cores=1, runtime=10, walltime=20)
+    seen = []
+    job.add_callback(lambda j, old, new: seen.append((old, new, sim.now)))
     cluster.submit(job)
     sim.run()
-    events = [r.event for r in sim.trace.query(category="batch-job", entity=job.name)]
-    assert events == ["PENDING", "RUNNING", "COMPLETED"]
+    assert seen == [
+        (JobState.NEW, JobState.PENDING, 0.0),
+        (JobState.PENDING, JobState.RUNNING, 0.0),
+        (JobState.RUNNING, JobState.COMPLETED, 10.0),
+    ]
+    assert (job.submit_time, job.start_time, job.end_time) == (0.0, 0.0, 10.0)
 
 
 def test_wait_history_populated():

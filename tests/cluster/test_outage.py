@@ -81,9 +81,14 @@ def test_trace_records_outage_window():
     sim = Simulation()
     cluster = make_cluster(sim)
     cluster.set_offline(300)
+    seen = []
+    for t in (0.0, 299.0, 300.0):
+        sim.call_at(t, lambda: seen.append((sim.now, cluster.is_offline)))
+    job = BatchJob(cores=1, runtime=10, walltime=60)
+    cluster.submit(job)
     sim.run()
-    events = [r.event for r in sim.trace.query(category="resource", entity="c")]
-    assert events == ["OFFLINE", "ONLINE"]
+    assert seen == [(0.0, True), (299.0, True), (300.0, False)]
+    assert job.start_time == 300.0  # dispatch resumes when the window ends
 
 
 def test_execution_survives_mid_run_outage():

@@ -64,12 +64,17 @@ class TestReplay:
                           submit_overhead=0.0)
         jobs = parse_swf(SAMPLE.splitlines())
         replay = SwfReplay(sim, cluster, jobs)
+        started = []
+        cluster.add_listener(
+            lambda j, old, new: new is JobState.RUNNING
+            and started.append((j.name, sim.now))
+        )
         assert replay.start() == 3
         sim.run()
         assert cluster.completed_jobs == 3
-        # job 1: 32 cores at t=0 on an idle 64-core machine
-        recs = sim.trace.query(category="batch-job", event="RUNNING")
-        assert recs[0].time == 0.0
+        # job 1: 32 cores at t=0 on an idle 64-core machine; the others
+        # fit beside it and start on submission
+        assert started == [("swf.1", 0.0), ("swf.2", 60.0), ("swf.4", 180.0)]
 
     def test_time_scale_compresses(self):
         sim = Simulation(seed=0)

@@ -1,7 +1,5 @@
 """Tests for session analytics (state durations, concurrency, allocation)."""
 
-import json
-
 import pytest
 
 from repro.bundle import BundleManager
@@ -12,7 +10,6 @@ from repro.core import (
     Binding,
     allocation_metrics,
     concurrency_series,
-    export_trace,
     peak_concurrency,
     state_durations,
 )
@@ -78,24 +75,3 @@ def test_allocation_metrics_empty():
     m = allocation_metrics([], [])
     assert m.consumed_core_s == 0
     assert m.efficiency == 0
-
-
-def test_export_trace_json(executed):
-    sim, report = executed
-    doc = json.loads(export_trace(sim.trace.query(category="unit")))
-    assert doc, "expected unit trace records"
-    assert all(r["category"] == "unit" for r in doc)
-    sample = doc[0]
-    assert {"time", "category", "entity", "event", "data"} <= set(sample)
-    # full dump also parses
-    full = json.loads(export_trace(sim.trace.records))
-    assert len(full) >= len(doc)
-
-
-def test_export_trace_tracer_signature_is_deprecated(executed):
-    sim, _ = executed
-    with pytest.warns(DeprecationWarning):
-        doc = json.loads(export_trace(sim.trace, category="unit"))
-    assert doc and all(r["category"] == "unit" for r in doc)
-    with pytest.raises(TypeError):
-        export_trace(sim.trace.records, category="unit")

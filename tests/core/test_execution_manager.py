@@ -142,12 +142,27 @@ def test_reports_accumulate():
 
 def test_trace_records_execution_phases():
     sim, net, clusters, bundle, em = make_env(seed=23)
+    sim.telemetry.enable()
     api = SkeletonAPI(bag_of_tasks(4, task_duration=30), seed=1)
-    em.execute(api)
-    events = [
-        r.event for r in sim.trace.query(category="execution")
+    report = em.execute(api)
+    steps = [
+        s for s in sim.telemetry.spans if s.track == f"em/{api.app.name}"
     ]
-    assert events == ["START", "STRATEGY", "END"]
+    assert [s.name for s in steps] == [
+        "gather-information",
+        "derive-strategy",
+        "prepare-inputs",
+        "instantiate-pilots",
+        "execute-units",
+    ]
+    assert all(s.category == "execution" for s in steps)
+    # the steps tile the execution window: start, strategy, end
+    d = report.decomposition
+    assert steps[0].t0 == d.t_start
+    assert steps[-1].t1 == d.t_end
+    assert all(a.t1 <= b.t0 for a, b in zip(steps, steps[1:]))
+    assert steps[3].attrs["n_pilots"] == report.strategy.n_pilots
+    assert report.telemetry.em_steps == [(s.name, s.t0, s.t1) for s in steps]
 
 
 def test_access_schema_routing():

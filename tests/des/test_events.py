@@ -1,4 +1,4 @@
-"""Unit tests for the event queue and tracer."""
+"""Unit tests for the event queue."""
 
 import bisect
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des.errors import SchedulingError
-from repro.des.events import EventQueue, Tracer
+from repro.des.events import EventQueue
 
 
 def test_push_pop_orders_by_time():
@@ -122,49 +122,6 @@ def test_len_counts_live_only():
     q.pop()
     assert len(q) == 0
     assert not bool(q)
-
-
-def test_tracer_record_and_query():
-    t = Tracer()
-    t.record(0.0, "pilot", "p1", "NEW")
-    t.record(1.0, "pilot", "p1", "ACTIVE", cores=32)
-    t.record(2.0, "unit", "u1", "DONE")
-    assert len(t.records) == 3
-    assert [r.event for r in t.query(category="pilot")] == ["NEW", "ACTIVE"]
-    assert t.first(entity="p1").event == "NEW"
-    assert t.last(entity="p1").event == "ACTIVE"
-    assert t.last(entity="p1").data["cores"] == 32
-    assert t.query(event="MISSING") == []
-    assert t.first(event="MISSING") is None
-
-
-def test_tracer_query_event_filter_fall_through():
-    t = Tracer()
-    t.record(0.0, "pilot", "p1", "NEW")
-    t.record(1.0, "pilot", "p2", "NEW")
-    t.record(2.0, "pilot", "p1", "ACTIVE")
-    t.record(3.0, "unit", "u1", "NEW")
-    # the event filter alone spans categories and entities
-    assert [r.entity for r in t.query(event="NEW")] == ["p1", "p2", "u1"]
-    # all provided filters must hold simultaneously
-    assert [r.time for r in t.query(category="pilot", entity="p1",
-                                    event="ACTIVE")] == [2.0]
-    assert t.query(category="unit", entity="p1") == []
-    assert t.query(category="pilot", event="DONE") == []
-    t.clear()
-    assert t.records == [] and t.query(event="NEW") == []
-
-
-def test_tracer_disable_enable():
-    t = Tracer()
-    t.disable()
-    t.record(0.0, "x", "y", "z")
-    assert t.records == []
-    t.enable()
-    t.record(0.0, "x", "y", "z")
-    assert len(t.records) == 1
-    t.clear()
-    assert t.records == []
 
 
 # -- lazy cancellation bounds (compaction) ------------------------------------

@@ -35,14 +35,6 @@ def test_run_process_until_deadline():
         sim.run_process(p, until=100.0)
 
 
-def test_tracer_disabled_during_simulation():
-    sim = Simulation()
-    sim.trace.disable()
-    sim.call_in(1.0, lambda: sim.trace.record(sim.now, "c", "e", "EV"))
-    sim.run()
-    assert sim.trace.records == []
-
-
 def test_timeout_zero_fires_immediately_in_order():
     sim = Simulation()
     order = []

@@ -37,44 +37,58 @@ def desc(resource="alpha"):
     return ComputePilotDescription(resource=resource, cores=8, runtime_min=60)
 
 
+def instants(sim, name):
+    return [i for i in sim.telemetry.instants if i["name"] == name]
+
+
 # -- PilotManager: transient retry with exponential backoff --------------------
 
 
 def test_transient_failures_are_retried_until_success():
     sim, clusters, pm = make_pm(submit_retries=3, submit_backoff_s=10.0)
+    sim.telemetry.enable()
     model = install_model(sim, pm)
     model.add_scripted(2)  # first two submission attempts fail transiently
     (pilot,) = pm.submit_pilots(desc())
     sim.run(until=2000.0)
     assert pilot.state is PilotState.ACTIVE
     assert pm.submit_faults == 2
-    # exponential backoff: retries traced at 10s and 10+20=30s
-    retries = sim.trace.query(event="SUBMIT-RETRY")
-    assert [r.time for r in retries] == [0.0, 10.0]
+    # exponential backoff: the failed attempts at 0s and 10s each schedule
+    # a retry (after 10s, then 20s), so the pilot is pending from 30s
+    retries = instants(sim, "submit-retry")
+    assert [i["t"] for i in retries] == [0.0, 10.0]
+    assert [i["attrs"]["attempt"] for i in retries] == [1, 2]
+    assert {i["track"] for i in retries} == {"pilot-manager/alpha"}
     assert pilot.history.timestamp("PENDING_ACTIVE") >= 30.0
 
 
 def test_retry_budget_exhaustion_fails_the_pilot():
     sim, clusters, pm = make_pm(submit_retries=2, submit_backoff_s=5.0)
+    sim.telemetry.enable()
     model = install_model(sim, pm)
     model.add_scripted(10)  # more failures than the budget
     (pilot,) = pm.submit_pilots(desc())
     sim.run(until=2000.0)
     assert pilot.state is PilotState.FAILED
     assert pm.submit_faults == 3  # initial try + 2 retries
-    assert sim.trace.query(event="SUBMIT-EXHAUSTED")
+    (exhausted,) = instants(sim, "submit-exhausted")
+    assert exhausted["t"] == 15.0  # retries after 5s, then 10s
+    assert exhausted["attrs"] == {"pilot": pilot.uid, "attempts": 3}
+    assert pilot.history.timestamp("FAILED") == 15.0
 
 
 def test_permanent_failure_fails_the_pilot_without_retry():
     sim, clusters, pm = make_pm(submit_retries=5)
+    sim.telemetry.enable()
     model = install_model(sim, pm)
     model.add_scripted(1, permanent=True)
     (pilot,) = pm.submit_pilots(desc())
     sim.run(until=2000.0)
     assert pilot.state is PilotState.FAILED
     assert pm.submit_faults == 1
-    assert not sim.trace.query(event="SUBMIT-RETRY")
-    assert sim.trace.query(event="SUBMIT-REJECTED")
+    assert not instants(sim, "submit-retry")
+    (rejected,) = instants(sim, "submit-rejected")
+    assert rejected["attrs"] == {"pilot": pilot.uid}
 
 
 def test_scripted_failures_target_one_resource():

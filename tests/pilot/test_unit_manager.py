@@ -247,12 +247,20 @@ def test_trace_contains_full_unit_lifecycle(substrate):
     um.add_pilots(pilots)
     (unit,) = um.submit_units(unit_desc("t0", duration=100))
     substrate.sim.run()
-    events = [
-        r.event for r in substrate.sim.trace.query(category="unit", entity=unit.uid)
+    states = [state for state, _ in unit.history.as_list()]
+    assert states == [
+        "NEW",
+        "UNSCHEDULED",
+        "SCHEDULING",
+        "STAGING_INPUT",
+        "PENDING_EXECUTION",
+        "EXECUTING",
+        "STAGING_OUTPUT",
+        "DONE",
     ]
-    assert events[0] == "NEW"
-    assert events[-1] == "DONE"
-    assert "EXECUTING" in events
+    times = [t for _, t in unit.history.as_list()]
+    assert times == sorted(times)
+    assert unit.executed_for == pytest.approx(100.0)
 
 
 def test_unit_wider_than_pilot_fails_fast_and_restarts(substrate):

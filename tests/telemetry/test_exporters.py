@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.core import Binding, PlannerConfig
-from repro.core.analytics import export_trace
 from repro.experiments import build_environment
 from repro.skeleton import SkeletonAPI, paper_skeleton
 from repro.telemetry import (
+    TelemetryHub,
     chrome_trace,
     otlp_trace,
     save_chrome_trace,
@@ -37,7 +37,7 @@ def telemetered_run():
 def test_chrome_trace_round_trip(telemetered_run, tmp_path):
     env, _ = telemetered_run
     path = tmp_path / "trace.json"
-    save_chrome_trace(env.sim.telemetry, str(path), tracer=env.sim.trace)
+    save_chrome_trace(env.sim.telemetry, str(path))
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -71,12 +71,58 @@ def test_chrome_trace_round_trip(telemetered_run, tmp_path):
     assert doc["otherData"]["digest"] == env.sim.telemetry.digest()
 
 
-def test_chrome_trace_includes_tracer_instants(telemetered_run):
-    env, _ = telemetered_run
-    doc = chrome_trace(env.sim.telemetry, tracer=env.sim.trace)
-    instants = [ev for ev in doc["traceEvents"] if ev["ph"] == "i"]
-    assert instants
-    assert all(ev["s"] == "t" for ev in instants)
+def test_chrome_trace_renders_every_hub_instant():
+    now = [0.0]
+    hub = TelemetryHub(clock=lambda: now[0], run_id="instants")
+    hub.enable()
+    hub.transition("pilot", "pilot.0001", "NEW")
+    now[0] = 2.5
+    hub.instant("pilot", "submit-retry", track="pilot-manager/a", attempt=1)
+    now[0] = 4.0
+    hub.instant("health", "watchdog-reschedule", track="pilot.0001")
+    hub.instant("health", "replan", track="health/*", reason=("x", 1))
+
+    events = chrome_trace(hub)["traceEvents"]
+    tid_of = {
+        ev["args"]["name"]: ev["tid"]
+        for ev in events
+        if ev["ph"] == "M" and ev["name"] == "thread_name"
+        and ev["pid"] == PID_VIRTUAL
+    }
+    rendered = [ev for ev in events if ev["ph"] == "i"]
+    assert rendered == [
+        {
+            "ph": "i",
+            "s": "t",
+            "pid": PID_VIRTUAL,
+            "tid": tid_of[inst["track"]],
+            "ts": inst["t"] * 1e6,
+            "name": inst["name"],
+            "cat": inst["category"],
+            "args": inst["attrs"],
+        }
+        for inst in hub.instants
+    ]
+    assert [ev["ts"] for ev in rendered] == [2.5e6, 4.0e6, 4.0e6]
+    # an instant on a span's track shares that track's tid
+    assert rendered[1]["tid"] == tid_of["pilot.0001"]
+    assert len(set(tid_of.values())) == 3
+
+
+def test_hub_transitions_reproduce_entity_histories(telemetered_run):
+    env, report = telemetered_run
+    hub = env.sim.telemetry
+    entities = list(env.execution_manager.pilot_manager.pilots) + list(
+        report.units
+    )
+    assert entities
+    by_track = {}
+    for span in hub.spans:
+        if span.category in ("pilot", "unit"):
+            by_track.setdefault(span.track, []).append((span.name, span.t0))
+    assert set(by_track) == {e.uid for e in entities}
+    for entity in entities:
+        assert by_track[entity.uid] == entity.history.as_list(), entity.uid
 
 
 def test_otlp_trace_shape(telemetered_run, tmp_path):
@@ -92,14 +138,6 @@ def test_otlp_trace_shape(telemetered_run, tmp_path):
         assert len(sp["spanId"]) == 16
         assert int(sp["endTimeUnixNano"]) >= int(sp["startTimeUnixNano"])
     assert otlp_trace(env.sim.telemetry) == doc
-
-
-def test_export_trace_shim_still_serves_tracer_records(telemetered_run):
-    env, _ = telemetered_run
-    with pytest.warns(DeprecationWarning):
-        doc = json.loads(export_trace(env.sim.trace, category="pilot"))
-    assert doc and all(rec["category"] == "pilot" for rec in doc)
-    assert {"time", "category", "entity", "event", "data"} <= set(doc[0])
 
 
 def test_execution_report_carries_a_telemetry_summary(telemetered_run):
