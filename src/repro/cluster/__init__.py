@@ -10,7 +10,7 @@ queue-wait dynamics for the pilot jobs submitted on top.
 from .fairshare import FairshareTracker
 from .job import BatchJob, FINAL_STATES, IllegalTransition, JobState
 from .machine import Cluster, SubmissionError
-from .nodes import AllocationError, NodePool, NodeSpec
+from .nodes import AllocationError, NodePool
 from .presets import (
     DEFAULT_POOL,
     PRESETS,
@@ -55,7 +55,6 @@ __all__ = [
     "IllegalTransition",
     "JobState",
     "NodePool",
-    "NodeSpec",
     "PRESETS",
     "ResourcePreset",
     "SCHEDULERS",

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -85,12 +87,24 @@ class BatchJob:
     end_time: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.cores <= 0:
+        # operator.index accepts Python and numpy integers, nothing
+        # fractional: the node pool only counts whole cores.
+        try:
+            cores = operator.index(self.cores)
+        except TypeError:
+            raise ValueError(
+                f"job cores must be an integer, got {self.cores!r}"
+            ) from None
+        if cores <= 0:
             raise ValueError(f"job cores must be positive, got {self.cores}")
-        if self.runtime < 0:
-            raise ValueError(f"job runtime must be >= 0, got {self.runtime}")
-        if self.walltime <= 0:
-            raise ValueError(f"job walltime must be positive, got {self.walltime}")
+        if not (math.isfinite(self.runtime) and self.runtime >= 0):
+            raise ValueError(
+                f"job runtime must be finite and >= 0, got {self.runtime}"
+            )
+        if not (math.isfinite(self.walltime) and self.walltime > 0):
+            raise ValueError(
+                f"job walltime must be finite and positive, got {self.walltime}"
+            )
         if not self.name:
             self.name = f"job.{self.uid:06d}"
         self._callbacks: list[Callable[["BatchJob", JobState, JobState], None]] = []

@@ -1,25 +1,15 @@
-"""Compute-node pool with per-node core accounting.
+"""Compute-node pool with core-granular accounting.
 
 Jobs request a number of cores and may span nodes (single-core tasks
 dominate the paper's workloads, so core-granular packing is the faithful
-model). The pool tracks per-node free cores for realism and statistics,
-while guaranteeing that any request not exceeding the total free cores
-can be placed.
+model). Any request not exceeding the free cores is placeable, so
+placement never gates a job: the pool counts cores per allocation and
+does not track which node holds them, since nothing reads that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    """Static description of one node type."""
-
-    cores: int
-    memory_gb: float = 64.0
+from typing import Dict
 
 
 class AllocationError(Exception):
@@ -29,33 +19,15 @@ class AllocationError(Exception):
 class NodePool:
     """A homogeneous pool of nodes with core-granular allocation."""
 
-    def __init__(self, nodes: int, cores_per_node: int, memory_gb: float = 64.0) -> None:
+    def __init__(self, nodes: int, cores_per_node: int) -> None:
         if nodes <= 0 or cores_per_node <= 0:
             raise ValueError("nodes and cores_per_node must be positive")
-        self.spec = NodeSpec(cores=cores_per_node, memory_gb=memory_gb)
         self.nodes = nodes
         self.cores_per_node = cores_per_node
-        self._free: List[int] = [cores_per_node] * nodes
-        # Nodes indexed by free-core count: _buckets[f] heaps the node ids
-        # with exactly f free cores, so greedy best-fit placement (fullest
-        # first, lowest index on ties) walks f upward and pops each heap's
-        # min. Entries are lazy: free() moves a node to its new bucket
-        # with a single heappush and leaves the old entry behind; an entry
-        # is live iff ``_free[node]`` still matches its bucket, and
-        # ``_counts[f]`` tracks live entries so the bucket walk never
-        # trusts stale ones. Stale heads are discarded when popped, and
-        # the pool compacts outright if they ever outnumber the nodes.
-        self._buckets: List[List[int]] = [[] for _ in range(cores_per_node + 1)]
-        self._buckets[cores_per_node] = list(range(nodes))
-        self._counts: List[int] = [0] * (cores_per_node + 1)
-        self._counts[cores_per_node] = nodes
-        self._stale = 0
-        self._allocations: Dict[int, List[Tuple[int, int]]] = {}
-        self.free_cores = nodes * cores_per_node
-
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * self.cores_per_node
+        #: capacity; fixed for the pool's lifetime, so a plain attribute
+        self.total_cores = nodes * cores_per_node
+        self.free_cores = self.total_cores
+        self._held: Dict[int, int] = {}
 
     @property
     def used_cores(self) -> int:
@@ -69,111 +41,27 @@ class NodePool:
     def can_fit(self, cores: int) -> bool:
         return cores <= self.free_cores
 
-    def _pop_live(self, f: int) -> int:
-        """Pop the lowest live node id from bucket ``f`` (caller checked
-        ``_counts[f]``), discarding stale entries that surface first."""
-        b = self._buckets[f]
-        free = self._free
-        node = heappop(b)
-        while free[node] != f:
-            self._stale -= 1
-            node = heappop(b)
-        return node
+    def allocate(self, key: int, cores: int) -> None:
+        """Allocate ``cores`` for ``key`` (a job uid).
 
-    def _compact(self) -> None:
-        """Rebuild every bucket without stale entries (rare)."""
-        buckets = [[] for _ in range(self.cores_per_node + 1)]
-        for node, f in enumerate(self._free):
-            buckets[f].append(node)
-        for b in buckets:
-            heapify(b)
-        self._buckets = buckets
-        self._stale = 0
-
-    def allocate(self, key: int, cores: int) -> List[Tuple[int, int]]:
-        """Allocate ``cores`` for ``key`` (a job uid); returns placements.
-
-        Placement is greedy best-fit: fullest nodes first, which keeps
-        fragmentation low and node-level statistics meaningful.
+        Every check runs before any state changes, so a rejected call
+        leaves the pool exactly as it was.
         """
         if cores <= 0:
             raise ValueError(f"cores must be positive, got {cores}")
-        if key in self._allocations:
+        held = self._held
+        if key in held:
             raise AllocationError(f"key {key} already holds an allocation")
         if cores > self.free_cores:
             raise AllocationError(
                 f"cannot allocate {cores} cores; only {self.free_cores} free"
             )
-        free = self._free
-        buckets = self._buckets
-        counts = self._counts
-        if cores == 1:
-            # Single-core tasks dominate the paper's workloads: the first
-            # bucket with a live entry holds the fullest nodes, and its
-            # live min is the lowest index among them.
-            for f in range(1, self.cores_per_node + 1):
-                if counts[f]:
-                    node = self._pop_live(f)
-                    counts[f] -= 1
-                    nf = f - 1
-                    heappush(buckets[nf], node)
-                    counts[nf] += 1
-                    free[node] = nf
-                    placement = [(node, 1)]
-                    self._allocations[key] = placement
-                    self.free_cores -= 1
-                    return placement
-            raise AllocationError("internal packing inconsistency")
-        remaining = cores
-        placement = []
-        f = 1
-        while remaining:
-            if f > self.cores_per_node:  # cannot happen: free_cores checked
-                raise AllocationError("internal packing inconsistency")
-            if not counts[f]:
-                f += 1
-                continue
-            node = self._pop_live(f)
-            counts[f] -= 1
-            take = f if f < remaining else remaining
-            nf = f - take
-            heappush(buckets[nf], node)
-            counts[nf] += 1
-            free[node] = nf
-            placement.append((node, take))
-            remaining -= take
-        self._allocations[key] = placement
+        held[key] = cores
         self.free_cores -= cores
-        return placement
 
     def free(self, key: int) -> None:
         """Release the allocation held by ``key``."""
-        placement = self._allocations.pop(key, None)
-        if placement is None:
+        cores = self._held.pop(key, None)
+        if cores is None:
             raise AllocationError(f"key {key} holds no allocation")
-        buckets = self._buckets
-        counts = self._counts
-        free = self._free
-        stale = self._stale
-        for node, take in placement:
-            f = free[node]
-            nf = f + take
-            if nf > self.cores_per_node:
-                raise AllocationError(f"node {node} over-freed")
-            # The old bucket entry goes stale in place; no list surgery.
-            counts[f] -= 1
-            heappush(buckets[nf], node)
-            counts[nf] += 1
-            free[node] = nf
-            stale += 1
-        self._stale = stale
-        self.free_cores += sum(take for _, take in placement)
-        if stale > 4 * self.nodes:
-            self._compact()
-
-    def allocation_of(self, key: int) -> Optional[List[Tuple[int, int]]]:
-        return self._allocations.get(key)
-
-    def busy_nodes(self) -> int:
-        """Number of nodes with at least one allocated core."""
-        return self.nodes - self._counts[self.cores_per_node]
+        self.free_cores += cores

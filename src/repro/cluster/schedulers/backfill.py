@@ -20,7 +20,8 @@ identical to a stateless implementation: a view without a mirror
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
+from itertools import accumulate
 from typing import List
 
 from ..job import BatchJob
@@ -135,19 +136,30 @@ class ConservativeBackfillScheduler(BatchScheduler):
         profile = AllocationProfile.from_entries(
             now, view.free_cores, entries
         )
+        pending = view.pending
+        # Suffix minima of the requests: no job from position i on asks
+        # for fewer than min_cores[i] cores or a shorter walltime than
+        # min_wall[i] (built back to front, then flipped).
+        min_cores = list(accumulate([j.cores for j in reversed(pending)], min))
+        min_wall = list(accumulate([j.walltime for j in reversed(pending)], min))
+        min_cores.reverse()
+        min_wall.reverse()
+        times = profile.times
+        free_at = profile.free_at
         picks: List[BatchJob] = []
-        free_now = profile.free_at
-        if free_now[0] == 0:
-            return picks  # nothing free at now => nothing can be picked
-        for job in view.pending:
+        for i, job in enumerate(pending):
+            # A job anchors at *now* (times[0]) iff its cores fit the
+            # profile minimum over [now, now + walltime). Reservations
+            # only lower levels and a longer window only lowers the
+            # minimum, so once the smallest remaining request exceeds
+            # the minimum over the shortest remaining window, no
+            # remaining job can start now; the rest of the plan cannot
+            # change the picks, the only externally visible output.
+            hi = bisect_left(times, now + min_wall[i])
+            if min_cores[i] > min(free_at[:hi]):
+                break
             anchor = profile.find_anchor(job.cores, job.walltime)
             profile.reserve(anchor, job.cores, job.walltime)
             if anchor == now:
                 picks.append(job)
-                # Only jobs anchored at *now* are externally visible; the
-                # profile exists for this pass alone. Once the capacity
-                # free at now is exhausted no later job can anchor there,
-                # so the remaining reservations cannot change the picks.
-                if free_now[0] == 0:
-                    break
         return picks

@@ -15,6 +15,7 @@ and ignore the rest, as most archive tools do. Comment lines start with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -64,6 +65,8 @@ def parse_swf(lines: Iterable[str]) -> List[SwfJob]:
             user = fields[11] if len(fields) > 11 else "0"
         except ValueError as exc:
             raise SwfError(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, (submit, run_time, requested_time))):
+            raise SwfError(f"line {lineno}: non-finite time field")
         processors = requested if requested > 0 else allocated
         if run_time <= 0 or processors <= 0:
             continue  # cancelled/failed-before-start records

@@ -1,5 +1,6 @@
 """Unit tests for the batch-job state model."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import BatchJob, IllegalTransition, JobState
@@ -22,6 +23,24 @@ def test_defaults_and_validation():
         make_job(runtime=-1)
     with pytest.raises(ValueError):
         make_job(walltime=0)
+
+
+def test_rejects_fractional_cores_and_non_finite_times():
+    for cores in (2.5, 2.0, "4", None):
+        with pytest.raises(ValueError):
+            make_job(cores=cores)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            make_job(runtime=bad)
+        with pytest.raises(ValueError):
+            make_job(walltime=bad)
+    with pytest.raises(ValueError):
+        BatchJob(cores=2.5, runtime=100.0, walltime=float("inf"))
+
+
+def test_accepts_numpy_integer_cores():
+    job = make_job(cores=np.int64(8), walltime=np.float64(600.0))
+    assert job.cores == 8
 
 
 def test_unique_uids():

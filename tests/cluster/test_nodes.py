@@ -1,4 +1,4 @@
-"""Unit and property tests for the node pool."""
+"""Unit and property tests for the node pool's core accounting."""
 
 import pytest
 from hypothesis import given, settings
@@ -19,27 +19,11 @@ def test_basic_accounting():
     assert pool.total_cores == 64
     assert pool.free_cores == 64
     assert pool.utilization == 0.0
-    pool.allocate(1, 20)
+    pool.allocate(1, 20)  # spans nodes: the pool is core-granular
     assert pool.free_cores == 44
     assert pool.used_cores == 20
     pool.free(1)
     assert pool.free_cores == 64
-
-
-def test_allocation_spans_nodes():
-    pool = NodePool(4, 16)
-    placement = pool.allocate(1, 40)
-    assert sum(take for _, take in placement) == 40
-    assert len(placement) >= 3  # 40 cores cannot fit on two 16-core nodes
-
-
-def test_fullest_first_packing():
-    pool = NodePool(3, 16)
-    pool.allocate(1, 10)  # node A now has 6 free
-    placement = pool.allocate(2, 6)
-    # the 6-core request should land on the partially used node
-    assert placement == [(placement[0][0], 6)]
-    assert pool.busy_nodes() == 1
 
 
 def test_over_allocation_rejected():
@@ -48,6 +32,8 @@ def test_over_allocation_rejected():
     with pytest.raises(AllocationError):
         pool.allocate(2, 7)
     assert pool.free_cores == 6  # failed attempt must not leak cores
+    with pytest.raises(AllocationError):
+        pool.free(2)  # ... nor record a holding
 
 
 def test_duplicate_key_rejected():
@@ -55,12 +41,29 @@ def test_duplicate_key_rejected():
     pool.allocate(1, 2)
     with pytest.raises(AllocationError):
         pool.allocate(1, 2)
+    assert pool.free_cores == 14
+    pool.free(1)
+    assert pool.free_cores == 16
 
 
 def test_free_unknown_key_rejected():
     pool = NodePool(2, 8)
     with pytest.raises(AllocationError):
         pool.free(99)
+    pool.allocate(1, 3)
+    pool.free(1)
+    with pytest.raises(AllocationError):
+        pool.free(1)  # a double free is an unknown key
+    assert pool.free_cores == 16
+
+
+def test_non_positive_cores_rejected():
+    pool = NodePool(2, 8)
+    for cores in (0, -1):
+        with pytest.raises(ValueError):
+            pool.allocate(1, cores)
+    assert pool.free_cores == 16
+    pool.allocate(1, 1)  # the rejected calls recorded nothing for key 1
 
 
 def test_can_fit():
@@ -69,35 +72,30 @@ def test_can_fit():
     assert not pool.can_fit(17)
 
 
-def test_allocation_of():
-    pool = NodePool(2, 8)
-    pool.allocate(7, 3)
-    assert pool.allocation_of(7) is not None
-    assert pool.allocation_of(8) is None
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     ops=st.lists(
-        st.tuples(st.integers(1, 64), st.booleans()),
+        st.tuples(st.integers(1, 64), st.booleans(), st.integers(0, 63)),
         min_size=1,
         max_size=60,
     )
 )
 def test_conservation_property(ops):
-    """Free + allocated cores always equals capacity; free never negative."""
+    """Free + held cores always equals capacity; free never negative."""
     pool = NodePool(8, 8)
     live = {}
     key = 0
-    for cores, do_free in ops:
+    for cores, do_free, pick in ops:
         if do_free and live:
-            k = next(iter(live))
+            k = sorted(live)[pick % len(live)]
             pool.free(k)
             del live[k]
         elif cores <= pool.free_cores:
             key += 1
-            placement = pool.allocate(key, cores)
-            assert sum(t for _, t in placement) == cores
+            pool.allocate(key, cores)
             live[key] = cores
+        else:
+            with pytest.raises(AllocationError):
+                pool.allocate(key + 1, cores)
         assert 0 <= pool.free_cores <= pool.total_cores
         assert pool.free_cores + sum(live.values()) == pool.total_cores

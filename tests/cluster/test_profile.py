@@ -194,3 +194,105 @@ def test_property_select_identical_with_and_without_mirror(pending, running):
         with_mirror = scheduler.select(views[0])
         stateless = scheduler.select(views[1])
         assert with_mirror == stateless
+
+
+# ---------------------------------------------------------------------------
+# conservative early exit vs the full reservation plan
+# ---------------------------------------------------------------------------
+
+
+def _full_plan_picks(view):
+    """Reference conservative pass: reserve every pending job, no cutoff."""
+    prof = AllocationProfile.from_entries(
+        view.now, view.free_cores, entries_from_running(view.running)
+    )
+    picks = []
+    for job in view.pending:
+        anchor = prof.find_anchor(job.cores, job.walltime)
+        prof.reserve(anchor, job.cores, job.walltime)
+        if anchor == view.now:
+            picks.append(job)
+    return picks
+
+
+def _view(now, total, running, pending):
+    """A mirror-backed view; ``running`` holds (cores, expected_end)."""
+    mirror = RunningMirror()
+    running_view = []
+    for cores, end in running:
+        job = _job(cores, 1.0)
+        running_view.append((job, end))
+        mirror.start(job.uid, end, cores)
+    used = sum(cores for cores, _ in running)
+    return SchedulerView(
+        now=now,
+        free_cores=total - used,
+        total_cores=total,
+        pending=pending,
+        running=running_view,
+        running_ends=mirror,
+    )
+
+
+def _counting_reserve(monkeypatch):
+    calls = []
+    reserve = AllocationProfile.reserve
+
+    def counted(self, anchor, cores, walltime):
+        calls.append(cores)
+        reserve(self, anchor, cores, walltime)
+
+    monkeypatch.setattr(AllocationProfile, "reserve", counted)
+    return calls
+
+
+def test_early_exit_stops_once_no_request_fits_now(monkeypatch):
+    # 2 cores free until t=100; the smallest queued request needs 3
+    pending = [_job(4, 50.0), _job(3, 50.0), _job(6, 20.0), _job(5, 10.0)]
+    view = _view(0.0, 10, [(8, 100.0)], pending)
+    calls = _counting_reserve(monkeypatch)
+    assert ConservativeBackfillScheduler().select(view) == []
+    assert calls == []  # the full plan would reserve all four
+    assert _full_plan_picks(view) == []
+    assert len(calls) == 4
+
+
+def test_late_small_short_job_still_picked(monkeypatch):
+    # 2 cores free until t=100; two larger jobs are blocked until then,
+    # and only the last job is both small and short enough to start now
+    small = _job(1, 10.0)
+    pending = [_job(6, 50.0), _job(4, 50.0), _job(2, 500.0), small]
+    view = _view(0.0, 10, [(8, 100.0)], pending)
+    calls = _counting_reserve(monkeypatch)
+    picks = ConservativeBackfillScheduler().select(view)
+    assert picks == _full_plan_picks(view) == [small]
+    assert len(calls) == 8  # no cutoff: every job reserved in both passes
+
+
+@given(
+    now=st.integers(0, 50),
+    running=st.lists(
+        st.tuples(st.integers(1, 16), st.integers(0, 300)),
+        max_size=12,
+    ),
+    pending=st.lists(
+        st.tuples(st.integers(1, 48), st.integers(1, 300)),
+        max_size=25,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_early_exit_matches_full_plan(now, running, pending):
+    total = 48
+    kept, used = [], 0
+    for cores, end in running:
+        if used + cores > total:
+            break
+        used += cores
+        kept.append((cores, float(end)))  # ends <= now fold into now
+    jobs = [_job(cores, float(walltime)) for cores, walltime in pending]
+    view = _view(float(now), total, kept, jobs)
+    picks = ConservativeBackfillScheduler().select(view)
+    assert picks == _full_plan_picks(view)
+    assert picks == ConservativeBackfillScheduler().select(
+        view._replace(running_ends=None)
+    )

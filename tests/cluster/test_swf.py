@@ -53,6 +53,16 @@ class TestParse:
         with pytest.raises(SwfError):
             parse_swf(["a b c d e f g h i j k"])
 
+    def test_non_finite_fields_rejected_with_line_number(self):
+        good = "1 0 0 100 4 -1 -1 4 3600 -1 1 7"
+        for bad in (
+            "1 0 0 nan 4 -1 -1 4 3600 -1 1 7",
+            "1 inf 0 100 4 -1 -1 4 3600 -1 1 7",
+            "1 0 0 100 4 -1 -1 4 -inf -1 1 7",
+        ):
+            with pytest.raises(SwfError, match="line 3"):
+                parse_swf(["; header", good, bad])
+
     def test_comments_and_blanks_skipped(self):
         assert parse_swf(["; header", "", "   "]) == []
 
