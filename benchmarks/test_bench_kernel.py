@@ -31,7 +31,7 @@ from time import perf_counter
 
 from repro.cluster.job import BatchJob
 from repro.cluster.schedulers.backfill import ConservativeBackfillScheduler
-from repro.cluster.schedulers.base import RunningMirror, SchedulerView
+from repro.cluster.schedulers.base import RunningSet, SchedulerView
 from repro.des.events import EventQueue
 
 _HERE = Path(__file__).parent
@@ -167,16 +167,15 @@ def test_bench_queue():
 def _select_fixture(depth: int, seed: int = 2016):
     """A pending queue of ``depth`` jobs against a busy 4096-core machine."""
     rng = random.Random(seed)
-    mirror = RunningMirror()
+    running = RunningSet()
     free = 4096
-    uid = 10_000_000 + depth  # clear of real job uids
     for _ in range(256):
         cores = rng.choice((1, 1, 1, 4, 16, 64))
         if cores > free - 64:
             continue
         free -= cores
-        uid += 1
-        mirror.start(uid, rng.uniform(10.0, 86_400.0), cores)
+        end = rng.uniform(10.0, 86_400.0)
+        running.add(BatchJob(cores=cores, runtime=end, walltime=end), end)
     pending = [
         BatchJob(
             cores=rng.choice((1, 1, 2, 8, 32, 128)),
@@ -188,10 +187,8 @@ def _select_fixture(depth: int, seed: int = 2016):
     view = SchedulerView(
         now=0.0,
         free_cores=free,
-        total_cores=4096,
         pending=pending,
-        running=(),
-        running_ends=mirror,
+        running=running,
     )
     return view
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..des import ScheduledEvent, Simulation
+from ..des import Simulation
 from .job import BatchJob, JobState
 from .nodes import NodePool
 from .schedulers import (
     BatchScheduler,
     EasyBackfillScheduler,
-    RunningMirror,
+    RunningSet,
     SchedulerView,
 )
 from .schedulers.base import PriorityFn
@@ -70,12 +70,9 @@ class Cluster:
         self._started_in_pass = 0
         self._arrival_order: Dict[int, int] = {}
         self._arrival_seq = 0
-        self._running: Dict[int, Tuple[BatchJob, float, ScheduledEvent]] = {}
-        # Scheduler-facing running state, maintained incrementally at
-        # start/finish so dispatch never rebuilds or re-sorts it:
-        # (job, expected_end) pairs plus the end-sorted RunningMirror.
-        self._running_view: Dict[int, Tuple[BatchJob, float]] = {}
-        self._run_mirror = RunningMirror()
+        #: the only record of the running jobs, end-sorted; the
+        #: scheduler view hands it to the policy as is.
+        self._running = RunningSet()
         self._dispatch_scheduled = False
         self._offline_until: float = -float("inf")
         self._listeners: List[Callable[[BatchJob, JobState, JobState], None]] = []
@@ -129,7 +126,7 @@ class Cluster:
         return list(self._queued())
 
     def running_jobs(self) -> List[BatchJob]:
-        return [job for job, _, _ in self._running.values()]
+        return list(self._running)
 
     def add_listener(
         self, fn: Callable[[BatchJob, JobState, JobState], None]
@@ -157,12 +154,7 @@ class Cluster:
             self._arrival_order.pop(job.uid, None)
             self._transition(job, JobState.CANCELLED)
         elif job.state is JobState.RUNNING:
-            _, _, end_event = self._running.pop(job.uid)
-            self._drop_running(job.uid)
-            self.sim.cancel(end_event)
-            self.pool.free(job.uid)
-            job.end_time = self.sim.now
-            self._transition(job, JobState.CANCELLED)
+            self._take_off(job, JobState.CANCELLED)
             self._schedule_dispatch()
         elif job.state is JobState.NEW:
             self._transition(job, JobState.CANCELLED)
@@ -180,13 +172,8 @@ class Cluster:
             self._arrival_order.pop(job.uid, None)
             self._transition(job, JobState.FAILED)
         elif job.state is JobState.RUNNING:
-            _, _, end_event = self._running.pop(job.uid)
-            self._drop_running(job.uid)
-            self.sim.cancel(end_event)
-            self.pool.free(job.uid)
-            job.end_time = self.sim.now
             self.killed_jobs += 1
-            self._transition(job, JobState.FAILED)
+            self._take_off(job, JobState.FAILED)
             self._schedule_dispatch()
         elif job.state is JobState.NEW:
             self._transition(job, JobState.FAILED)
@@ -208,13 +195,8 @@ class Cluster:
         self._offline_until = max(
             self._offline_until, self.sim.now + duration
         )
-        for job, _, end_event in list(self._running.values()):
-            self.sim.cancel(end_event)
-            self._running.pop(job.uid)
-            self._drop_running(job.uid)
-            self.pool.free(job.uid)
-            job.end_time = self.sim.now
-            self._transition(job, JobState.FAILED)
+        for job in list(self._running):
+            self._take_off(job, JobState.FAILED)
         self.sim.call_at(self._offline_until, self._back_online)
 
     def _back_online(self) -> None:
@@ -224,9 +206,8 @@ class Cluster:
 
     def expected_drain_time(self) -> float:
         """Crude bound: when would the machine be empty if nothing arrived."""
-        if not self._running:
-            return self.sim.now
-        return max(expected_end for _, expected_end, _ in self._running.values())
+        entries = self._running.entries
+        return entries[-1][0] if entries else self.sim.now
 
     # -- internal machinery ----------------------------------------------------
 
@@ -277,14 +258,7 @@ class Cluster:
             self._sort_pending()
         # The view aliases live queue state (see SchedulerView): select
         # completes before _run_picks mutates anything, so no copies.
-        view = SchedulerView(
-            now=now,
-            free_cores=self.pool.free_cores,
-            total_cores=self.pool.total_cores,
-            pending=self._pending,
-            running=self._running_view.values(),
-            running_ends=self._run_mirror,
-        )
+        view = SchedulerView(now, self.pool.free_cores, self._pending, self._running)
         tel = self.sim.telemetry
         if not tel.enabled:
             # Fast path: no span bookkeeping, no pass metrics. This is
@@ -346,9 +320,11 @@ class Cluster:
             raise RuntimeError(f"scheduler picked non-pending job {job.name}")
         del self._arrival_order[job.uid]
         self._started_in_pass += 1
-        uid = job.uid
-        cores = job.cores
-        self.pool.allocate(uid, cores)
+        self.pool.allocate(job.uid, job.cores)
+        self._launch(job)
+
+    def _launch(self, job: BatchJob) -> None:
+        """Run ``job`` now: schedule its end and add it to the running set."""
         now = self.sim._now
         job.start_time = now
         runtime = job.runtime
@@ -356,32 +332,34 @@ class Cluster:
         timed_out = runtime > walltime
         duration = walltime if timed_out else runtime
         end_event = self.sim.call_in(duration, self._finish, job, timed_out)
-        expected_end = now + walltime
-        self._running[uid] = (job, expected_end, end_event)
-        self._running_view[uid] = (job, expected_end)
-        self._run_mirror.start(uid, expected_end, cores)
+        self._running.add(job, now + walltime, end_event)
         self.wait_history.append(
-            (now, now - (job.submit_time or 0.0), cores)
+            (now, now - (job.submit_time or 0.0), job.cores)
         )
         self._transition(job, JobState.RUNNING)
 
     def _finish(self, job: BatchJob, timed_out: bool) -> None:
-        self._running.pop(job.uid)
-        self._drop_running(job.uid)
-        self.pool.free(job.uid)
-        job.end_time = self.sim._now
         if timed_out:
             self.killed_jobs += 1
-            self._transition(job, JobState.TIMEOUT)
+            self._take_off(job, JobState.TIMEOUT)
         else:
             self.completed_jobs += 1
-            self._transition(job, JobState.COMPLETED)
+            self._take_off(job, JobState.COMPLETED)
         self._schedule_dispatch()
 
-    def _drop_running(self, uid: int) -> None:
-        """Remove a job from the scheduler-facing running state."""
-        self._running_view.pop(uid)
-        self._run_mirror.finish(uid)
+    def _take_off(self, job: BatchJob, state: JobState) -> None:
+        """Take a running job off the machine and end it in ``state``.
+
+        Cancelling the end event is a no-op when the job ends on it.
+        """
+        self.sim.cancel(self._running.remove(job.uid))
+        self._free(job.uid)
+        job.end_time = self.sim._now
+        self._transition(job, state)
+
+    def _free(self, uid: int) -> None:
+        """Return the cores job ``uid`` holds to the node pool."""
+        self.pool.free(uid)
 
     def _transition(self, job: BatchJob, new_state: JobState) -> None:
         old = job.state

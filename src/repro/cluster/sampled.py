@@ -18,7 +18,7 @@ assumes) and erases the value of the bundle's predictive interface.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,9 @@ class SampledWaitCluster(Cluster):
     """A resource whose queue is a random-number generator.
 
     Jobs wait ``lognormal(mu, sigma)`` seconds i.i.d., then always start
-    (capacity is tracked for statistics but never blocks). Use only for
+    (capacity never blocks, so jobs bypass the node pool). They share
+    the base class's running set and take-off path, so cancelling,
+    killing and outages behave as on an emergent resource. Use only for
     the emergent-vs-sampled ablation.
     """
 
@@ -63,12 +65,10 @@ class SampledWaitCluster(Cluster):
         )
 
     def _enqueue(self, job: BatchJob) -> None:
-        if job.state is JobState.CANCELLED:
-            return
+        if job.state in (JobState.CANCELLED, JobState.FAILED):
+            return  # cancelled/killed during the submit overhead window
         job.submit_time = self.sim.now
         self._pending.append(job)
-        self._arrival_order[job.uid] = self._arrival_seq
-        self._arrival_seq += 1
         self._transition(job, JobState.PENDING)
         wait = float(self.rng.lognormal(self.wait_mu, self.wait_sigma))
         self.sim.call_in(wait, self._sampled_start, job)
@@ -76,46 +76,13 @@ class SampledWaitCluster(Cluster):
     def _sampled_start(self, job: BatchJob) -> None:
         if job.state is not JobState.PENDING:
             return  # cancelled while "queued"
-        # Capacity never blocks in the sampled model: the node pool is
-        # bypassed entirely (waits are the model, not the machine).
-        self._start_unchecked(job)
-
-    def cancel(self, job: BatchJob) -> None:
-        """Cancel without pool bookkeeping (jobs never allocate here)."""
-        if job.state is JobState.RUNNING:
-            _, _, end_event = self._running.pop(job.uid)
-            self.sim.cancel(end_event)
-            job.end_time = self.sim.now
-            self._transition(job, JobState.CANCELLED)
-        elif job.state is JobState.PENDING:
-            self._pending.remove(job)
-            self._transition(job, JobState.CANCELLED)
-        elif job.state is JobState.NEW:
-            self._transition(job, JobState.CANCELLED)
-
-    def _start_unchecked(self, job: BatchJob) -> None:
         self._pending.remove(job)
-        job.start_time = self.sim.now
-        duration = min(job.runtime, job.walltime)
-        timed_out = job.runtime > job.walltime
-        end_event = self.sim.call_in(duration, self._finish_unchecked, job,
-                                     timed_out)
-        self._running[job.uid] = (job, self.sim.now + job.walltime, end_event)
-        self.wait_history.append(
-            (self.sim.now, job.start_time - (job.submit_time or 0.0), job.cores)
-        )
-        self._transition(job, JobState.RUNNING)
+        self._launch(job)
 
-    def _finish_unchecked(self, job: BatchJob, timed_out: bool) -> None:
-        self._running.pop(job.uid)
-        job.end_time = self.sim.now
-        if timed_out:
-            self.killed_jobs += 1
-            self._transition(job, JobState.TIMEOUT)
-        else:
-            self.completed_jobs += 1
-            self._transition(job, JobState.COMPLETED)
+    def _free(self, uid: int) -> None:
+        """Nothing to return: capacity never blocks in the sampled model,
+        so jobs bypass the node pool (waits are the model, not the
+        machine)."""
 
-    def _dispatch(self) -> None:
-        # The scheduler never runs: waits are sampled, not scheduled.
-        self._dispatch_scheduled = False
+    def _schedule_dispatch(self) -> None:
+        """The scheduler never runs: waits are sampled, not scheduled."""

@@ -5,7 +5,7 @@ from .base import (
     AllocationProfile,
     BatchScheduler,
     PriorityFn,
-    RunningMirror,
+    RunningSet,
     SchedulerView,
     shadow_schedule,
 )
@@ -34,7 +34,7 @@ __all__ = [
     "EasyBackfillScheduler",
     "FcfsScheduler",
     "PriorityFn",
-    "RunningMirror",
+    "RunningSet",
     "SCHEDULERS",
     "SchedulerView",
     "make_scheduler",

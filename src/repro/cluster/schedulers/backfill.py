@@ -10,12 +10,9 @@ Both plan with requested walltimes; user overestimation of walltime is
 what creates the backfill holes that pilots exploit, so modelling this
 faithfully matters for the paper's queue-wait dynamics.
 
-Both schedulers read the cluster's incrementally maintained
-:class:`~.base.RunningMirror` through ``view.running_ends`` — the
-end-sorted running set is patched with start/finish deltas at the
-moment jobs start and finish, never re-sorted per pass. The picks are
-identical to a stateless implementation: a view without a mirror
-(hand-built in tests) falls back to sorting, with the same order.
+Both schedulers read the end-sorted entries of the cluster's
+:class:`~.base.RunningSet` through ``view.running``; the set is patched
+the moment jobs start and end, never re-sorted per pass.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from .base import (
     AllocationProfile,
     BatchScheduler,
     SchedulerView,
-    entries_from_running,
+    shadow_schedule,
 )
 
 
@@ -56,38 +53,17 @@ class EasyBackfillScheduler(BatchScheduler):
             return picks
 
         # Phase 2: reservation for the (blocked) head, walking the
-        # incrementally maintained end-sorted running set. Phase-1 picks
-        # join with sequence numbers above every running job, which is
-        # exactly where a stable sort of (view.running + picks) by
-        # expected end would place them.
-        mirror = view.running_ends
-        if mirror is not None:
-            entries = mirror.entries
-            seq = mirror.next_seq()
-        else:
-            entries = entries_from_running(view.running)
-            seq = len(view.running)
+        # end-sorted running set. Phase-1 picks join with sequence
+        # numbers above every running job, which is exactly where a
+        # stable sort of (running + picks) by expected end places them.
+        running = view.running
+        entries = running.entries
         if picks:
             entries = list(entries)
+            seq = running.next_seq()
             for i, p in enumerate(picks):
                 insort(entries, (view.now + p.walltime, seq + i, p.cores))
-        head_cores = pending[head].cores
-        if head_cores <= free:  # pragma: no cover - head blocked => False
-            shadow, extra = float("-inf"), free - head_cores
-        else:
-            available = free
-            shadow = extra = None  # type: ignore[assignment]
-            for end, _seq, cores in entries:
-                available += cores
-                if available >= head_cores:
-                    shadow, extra = end, available - head_cores
-                    break
-            if shadow is None:
-                # Unreachable when head_cores <= capacity (enforced at
-                # submit).
-                raise ValueError(
-                    "queue head can never fit on this resource"
-                )
+        shadow, extra = shadow_schedule(pending[head].cores, free, entries)
 
         # Phase 3: backfill later jobs against the reservation.
         for job in pending[head + 1:]:
@@ -113,8 +89,7 @@ class ConservativeBackfillScheduler(BatchScheduler):
     backfill opportunities than EASY.
 
     The base profile (capacity releases from running jobs) comes from
-    the cluster's running mirror — start/finish deltas, no per-call
-    sort — and the per-pass reservation plan uses bisect-based
+    the end-sorted running set — no per-call sort — and the per-pass reservation plan uses bisect-based
     breakpoint insertion and a skip-jump anchor search (see
     :class:`~.base.AllocationProfile`).
     """
@@ -122,11 +97,7 @@ class ConservativeBackfillScheduler(BatchScheduler):
     name = "conservative-backfill"
 
     def select(self, view: SchedulerView) -> List[BatchJob]:
-        mirror = view.running_ends
-        entries = (
-            mirror.entries if mirror is not None
-            else entries_from_running(view.running)
-        )
+        entries = view.running.entries
         now = view.now
         if view.free_cores == 0 and (not entries or entries[0][0] > now):
             # The profile's level at now would be exactly free_cores

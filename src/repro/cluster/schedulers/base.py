@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left, bisect_right, insort
-from operator import itemgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple,
+)
 
 from ..job import BatchJob
 
@@ -22,7 +23,7 @@ from ..job import BatchJob
 #: submission order. The default (None) is plain FIFO.
 PriorityFn = Callable[[BatchJob, float], float]
 
-#: Sorts after every real (end, start_seq, ...) mirror entry with the
+#: Sorts after every real (end, start_seq, ...) running entry with the
 #: same end time; used to bisect the fold prefix in one comparison pass.
 _MAX_SEQ = float("inf")
 
@@ -34,7 +35,7 @@ class SchedulerView(NamedTuple):
     per scheduler pass on the hot path, and tuple construction is
     several times cheaper than per-field ``object.__setattr__``.
 
-    ``pending`` and ``running`` may alias live cluster state — they are
+    ``pending`` and ``running`` alias live cluster state — they are
     valid for the duration of the ``select`` call only, and policies
     must not retain or mutate them.
 
@@ -44,27 +45,18 @@ class SchedulerView(NamedTuple):
         Current simulated time.
     free_cores:
         Cores not allocated to any running job.
-    total_cores:
-        Capacity of the resource.
     pending:
         Queued jobs in priority order (head first).
     running:
-        ``(job, expected_end)`` pairs for running jobs, where
-        ``expected_end = start + walltime`` (the scheduler's knowledge,
-        not the job's hidden runtime).
-    running_ends:
-        Optional cluster-maintained end-sorted running mirror (see
-        :class:`RunningMirror`). Backfill policies use it to skip
-        re-sorting ``running``; None (hand-built views) falls back to a
-        stateless sort with identical results.
+        The resource's :class:`RunningSet`; its ``entries`` list the
+        running jobs by expected end, ``start + walltime`` (the
+        scheduler's knowledge, not the job's hidden runtime).
     """
 
     now: float
     free_cores: int
-    total_cores: int
     pending: Sequence[BatchJob]
-    running: Sequence[Tuple[BatchJob, float]]
-    running_ends: "Optional[RunningMirror]" = None
+    running: "RunningSet"
 
 
 class BatchScheduler(abc.ABC):
@@ -84,59 +76,46 @@ class BatchScheduler(abc.ABC):
         return f"<{type(self).__name__}>"
 
 
-class RunningMirror:
-    """Incrementally maintained end-sorted mirror of a running set.
+class RunningSet:
+    """The jobs running on a resource, kept sorted by expected end.
 
-    The cluster facade owns one of these and applies job start/finish
-    deltas at the moment they happen — O(log R) bisect insertion and
-    removal — instead of every scheduler pass re-sorting ``view.running``
-    from scratch. ``entries`` stays sorted by
-    ``(expected_end, start_order)``: exactly the order a stable sort of
-    the running view by expected end produces, because start order is
-    the view's iteration order. Backfill schedulers read it through
-    :attr:`SchedulerView.running_ends`; views built without one (e.g.
-    hand-constructed in tests) fall back to :func:`entries_from_running`.
+    The cluster's only record of its running jobs: it applies each start
+    and removal the moment it happens — O(log R) bisect insertion and
+    deletion — so no scheduler pass ever re-sorts the running jobs.
+    ``entries`` holds one ``(expected_end, start_seq, cores)`` tuple per
+    job, sorted: exactly the order a stable sort of the jobs in start
+    order by expected end produces. Iterating the set yields the jobs in
+    start order.
     """
 
-    __slots__ = ("_jobs", "_seq", "entries", "starts", "finishes")
+    __slots__ = ("_jobs", "_seq", "entries")
 
     def __init__(self) -> None:
-        #: uid -> (expected_end, start_seq)
-        self._jobs: Dict[int, Tuple[float, int]] = {}
+        #: uid -> (job, expected_end, start_seq, end_event), start order
+        self._jobs: Dict[int, Tuple[BatchJob, float, int, Any]] = {}
         self._seq = 0
         #: sorted list of (expected_end, start_seq, cores)
         self.entries: List[Tuple[float, int, int]] = []
-        self.starts = 0
-        self.finishes = 0
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __iter__(self) -> Iterator[BatchJob]:
+        return (record[0] for record in self._jobs.values())
 
     def next_seq(self) -> int:
-        """A sequence number larger than any start order in the mirror."""
+        """A sequence number larger than any start order in the set."""
         return self._seq + 1
 
-    def start(self, uid: int, expected_end: float, cores: int) -> None:
-        """Record that job ``uid`` started, ending at ``expected_end``."""
+    def add(self, job: BatchJob, expected_end: float, end_event=None) -> None:
+        """Record that ``job`` started, ending at ``expected_end``."""
         self._seq += 1
-        self._jobs[uid] = (expected_end, self._seq)
-        insort(self.entries, (expected_end, self._seq, cores))
-        self.starts += 1
+        seq = self._seq
+        self._jobs[job.uid] = (job, expected_end, seq, end_event)
+        insort(self.entries, (expected_end, seq, job.cores))
 
-    def finish(self, uid: int) -> None:
-        """Record that job ``uid`` left the machine (done/killed/cancelled)."""
-        end, seq = self._jobs.pop(uid)
+    def remove(self, uid: int):
+        """Drop job ``uid`` (done, killed or cancelled); return its end event."""
+        _job, end, seq, end_event = self._jobs.pop(uid)
         del self.entries[bisect_left(self.entries, (end, seq))]
-        self.finishes += 1
-
-
-def entries_from_running(
-    running: Sequence[Tuple[BatchJob, float]],
-) -> List[Tuple[float, int, int]]:
-    """Stateless fallback: mirror-shaped entries from a running view."""
-    return sorted(
-        (end, i, job.cores) for i, (job, end) in enumerate(running)
-    )
+        return end_event
 
 
 class AllocationProfile:
@@ -162,7 +141,7 @@ class AllocationProfile:
         free_cores: int,
         entries: Sequence[Tuple[float, int, int]],
     ) -> "AllocationProfile":
-        """Profile from mirror entries sorted by (end, start_seq).
+        """Profile from running entries sorted by (end, start_seq).
 
         Releases at or before ``now`` fold into the base level (matching
         the dict-merge semantics of the non-incremental profile build).
@@ -237,7 +216,7 @@ class AllocationProfile:
 def shadow_schedule(
     head_cores: int,
     free_cores: int,
-    running: Sequence[Tuple[BatchJob, float]],
+    entries: Sequence[Tuple[float, int, int]],
 ) -> Tuple[float, int]:
     """Compute the EASY-backfill *shadow time* and *extra cores*.
 
@@ -246,7 +225,9 @@ def shadow_schedule(
     expected (walltime-based) ends. Extra cores are the cores that will
     be free at the shadow time beyond what the head needs; backfilled
     jobs that fit within the extra cores can never delay the head,
-    regardless of how long they run.
+    regardless of how long they run. ``entries`` are
+    ``(expected_end, start_seq, cores)`` tuples sorted as in
+    :attr:`RunningSet.entries`.
 
     Returns ``(shadow_time, extra_cores)``. If the head already fits,
     shadow time is ``-inf`` and extra is the free cores minus the head's
@@ -255,10 +236,9 @@ def shadow_schedule(
     if head_cores <= free_cores:
         return float("-inf"), free_cores - head_cores
     available = free_cores
-    ends = sorted(running, key=itemgetter(1))
-    for job, expected_end in ends:
-        available += job.cores
+    for end, _seq, cores in entries:
+        available += cores
         if available >= head_cores:
-            return expected_end, available - head_cores
+            return end, available - head_cores
     # Unreachable when head_cores <= total capacity (enforced at submit).
     raise ValueError("queue head can never fit on this resource")

@@ -2,8 +2,26 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
+
+
+def _check_cores(kind: str, cores) -> None:
+    """Reject a core request that is not a positive whole number.
+
+    ``operator.index`` accepts Python and numpy integers and nothing
+    fractional, as for :class:`~repro.cluster.job.BatchJob`.
+    """
+    try:
+        operator.index(cores)
+    except TypeError:
+        raise ValueError(
+            f"{kind} cores must be an integer, got {cores!r}"
+        ) from None
+    if cores <= 0:
+        raise ValueError(f"{kind} cores must be positive, got {cores}")
 
 
 @dataclass(frozen=True)
@@ -22,10 +40,11 @@ class ComputePilotDescription:
     project: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ValueError("pilot cores must be positive")
-        if self.runtime_min <= 0:
-            raise ValueError("pilot runtime must be positive")
+        _check_cores("pilot", self.cores)
+        if not (math.isfinite(self.runtime_min) and self.runtime_min > 0):
+            raise ValueError(
+                f"pilot runtime must be finite and positive, got {self.runtime_min}"
+            )
 
     @property
     def runtime_s(self) -> float:
@@ -54,9 +73,10 @@ class ComputeUnitDescription:
     max_restarts: int = 3
 
     def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ValueError("unit cores must be positive")
-        if self.duration_s < 0:
-            raise ValueError("unit duration must be non-negative")
+        _check_cores("unit", self.cores)
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise ValueError(
+                f"unit duration must be finite and >= 0, got {self.duration_s}"
+            )
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")

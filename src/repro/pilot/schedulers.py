@@ -12,9 +12,17 @@
 * :class:`RoundRobinScheduler` — late binding without capacity
   awareness: units are spread evenly over active pilots as they appear.
   Included as an ablation of the backfill policy.
+* :class:`LocalityScheduler` — late binding that prefers the pilot whose
+  site already holds the unit's inputs.
 
-A policy never mutates units; it returns ``(unit, pilot)`` assignments
-and the :class:`~repro.pilot.unit_manager.UnitManager` enacts them.
+The contract: the :class:`~repro.pilot.unit_manager.UnitManager` builds
+the *bindable* pilots once per pass and hands them to
+:meth:`UnitScheduler.assign`, which only chooses among them. For an
+early-binding policy they are the non-final pilots in submission order;
+for a late-binding one, the active pilots whose agent is not stopped,
+sorted by ``(activated_at, uid)``. Pilots on quarantined resources are
+never bindable. A policy never mutates units or pilots; it returns
+``(unit, pilot)`` assignments and the unit manager enacts them.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ class UnitScheduler(abc.ABC):
     name: str = "base"
     #: early-binding policies assign to pilots that are not yet active.
     early_binding: bool = False
+    #: the :class:`~repro.net.Network` whose site filesystems a policy
+    #: may read; the unit manager supplies its own when this is unset.
+    network = None
 
     @abc.abstractmethod
     def assign(
@@ -39,11 +50,14 @@ class UnitScheduler(abc.ABC):
         eligible: Sequence[ComputeUnit],
         pilots: Sequence[ComputePilot],
     ) -> List[Tuple[ComputeUnit, ComputePilot]]:
-        """Return the bindings to enact now, in order."""
+        """Return the bindings to enact now, in order.
+
+        ``pilots`` are the bindable pilots, in preference order.
+        """
 
 
 class DirectScheduler(UnitScheduler):
-    """Early binding: round-robin over all non-final pilots at submission."""
+    """Early binding: round-robin over the non-final pilots at submission."""
 
     name = "direct"
     early_binding = True
@@ -52,17 +66,19 @@ class DirectScheduler(UnitScheduler):
         self._rr = itertools.count()
 
     def assign(self, eligible, pilots):
-        candidates = [p for p in pilots if not p.is_final]
-        if not candidates:
-            return []
         out = []
         for unit in eligible:
-            fitting = [p for p in candidates if p.cores >= unit.cores]
-            if not fitting:
-                continue  # wait for a pilot the unit can ever fit in
-            pilot = fitting[next(self._rr) % len(fitting)]
-            out.append((unit, pilot))
+            fitting = [p for p in pilots if p.cores >= unit.cores]
+            if fitting:  # else wait for a pilot the unit can ever fit in
+                out.append((unit, fitting[next(self._rr) % len(fitting)]))
         return out
+
+
+class RoundRobinScheduler(DirectScheduler):
+    """Late binding, capacity-blind: spread units over active pilots."""
+
+    name = "round-robin"
+    early_binding = False
 
 
 class BackfillScheduler(UnitScheduler):
@@ -72,50 +88,24 @@ class BackfillScheduler(UnitScheduler):
     early_binding = False
 
     def assign(self, eligible, pilots):
-        active = [
-            p for p in pilots
-            if p.is_active and p.agent is not None and not p.agent.stopped
-        ]
-        active.sort(key=lambda p: (p.activated_at, p.uid))
-        out = []
-        free = {p.uid: p.agent.uncommitted_cores for p in active}
-        for unit in eligible:
-            for pilot in active:
-                if free[pilot.uid] >= unit.cores:
-                    free[pilot.uid] -= unit.cores
-                    out.append((unit, pilot))
-                    break
-        return out
-
-
-class RoundRobinScheduler(UnitScheduler):
-    """Late binding, capacity-blind: spread units over active pilots."""
-
-    name = "round-robin"
-    early_binding = False
-
-    def __init__(self) -> None:
-        self._rr = itertools.count()
-
-    def assign(self, eligible, pilots):
-        active = [
-            p for p in pilots
-            if p.is_active and p.agent is not None and not p.agent.stopped
-        ]
-        active.sort(key=lambda p: (p.activated_at, p.uid))
-        if not active:
-            return []
+        free = {p.uid: p.agent.uncommitted_cores for p in pilots}
         out = []
         for unit in eligible:
-            fitting = [p for p in active if p.cores >= unit.cores]
-            if not fitting:
-                continue  # wait for a pilot the unit can ever fit in
-            pilot = fitting[next(self._rr) % len(fitting)]
-            out.append((unit, pilot))
+            pilot = self._pick(unit, pilots, free)
+            if pilot is not None:
+                free[pilot.uid] -= unit.cores
+                out.append((unit, pilot))
         return out
 
+    def _pick(self, unit, pilots, free):
+        """The first pilot with ``unit.cores`` uncommitted, or None."""
+        for pilot in pilots:
+            if free[pilot.uid] >= unit.cores:
+                return pilot
+        return None
 
-class LocalityScheduler(UnitScheduler):
+
+class LocalityScheduler(BackfillScheduler):
     """Late binding with data locality: prefer pilots whose site already
     holds the unit's inputs.
 
@@ -124,14 +114,9 @@ class LocalityScheduler(UnitScheduler):
     the most of its input files resident (ties broken by activation
     order, the backfill default). Avoids re-staging when outputs of an
     earlier stage already live where the next stage could run.
-
-    Construct with the network whose site filesystems hold the files:
-    ``LocalityScheduler(network)``; the registry name ``"locality"`` is
-    resolved by the unit manager, which injects its network.
     """
 
     name = "locality"
-    early_binding = False
 
     def __init__(self, network=None) -> None:
         self.network = network
@@ -144,25 +129,13 @@ class LocalityScheduler(UnitScheduler):
             1 for f in unit.description.input_staging if fs.exists(f)
         )
 
-    def assign(self, eligible, pilots):
-        active = [
-            p for p in pilots
-            if p.is_active and p.agent is not None and not p.agent.stopped
-        ]
-        active.sort(key=lambda p: (p.activated_at, p.uid))
-        out = []
-        free = {p.uid: p.agent.uncommitted_cores for p in active}
-        for unit in eligible:
-            fitting = [p for p in active if free[p.uid] >= unit.cores]
-            if not fitting:
-                continue
-            best = max(
-                fitting,
-                key=lambda p: self._resident_inputs(unit, p.resource),
-            )
-            free[best.uid] -= unit.cores
-            out.append((unit, best))
-        return out
+    def _pick(self, unit, pilots, free):
+        cores = unit.cores
+        return max(
+            (p for p in pilots if free[p.uid] >= cores),
+            key=lambda p: self._resident_inputs(unit, p.resource),
+            default=None,
+        )
 
 
 UNIT_SCHEDULERS = {

@@ -2,7 +2,8 @@
 their lifecycle (staging, execution, output staging, restart on failure).
 
 The manager owns the binding policy (early-binding ``direct``, or
-late-binding ``backfill`` / ``round-robin``), resolves inter-unit data
+late-binding ``backfill`` / ``round-robin`` / ``locality``), builds the
+pilots it may bind to on each pass, resolves inter-unit data
 dependencies, and enforces the paper's fault behaviour: units stranded
 by a dying pilot are automatically re-dispatched to surviving pilots.
 """
@@ -44,11 +45,7 @@ class UnitManager:
             make_unit_scheduler(scheduler)
             if isinstance(scheduler, str) else scheduler
         )
-        # The locality policy reads site filesystems; inject ours if the
-        # scheduler was constructed by name (or without one).
-        if getattr(self.scheduler, "name", "") == "locality" and (
-            getattr(self.scheduler, "network", None) is None
-        ):
+        if self.scheduler.network is None:
             self.scheduler.network = network
         self.pilots: List[ComputePilot] = []
         self.units: List[ComputeUnit] = []
@@ -192,11 +189,21 @@ class UnitManager:
                 p for p in pilots
                 if not self.health.is_quarantined(p.resource)
             ]
+        # The bindable pilots, built once per pass (see the contract in
+        # repro.pilot.schedulers): the policy only chooses among them.
+        if self.scheduler.early_binding:
+            bindable = [p for p in pilots if not p.is_final]
+        else:
+            bindable = [
+                p for p in pilots
+                if p.is_active and p.agent is not None and not p.agent.stopped
+            ]
+            bindable.sort(key=lambda p: (p.activated_at, p.uid))
         tel = self.sim.telemetry
         if not tel.enabled:
             # Fast path for the campaign configuration: no span
             # bookkeeping, no pass counters.
-            self._apply_assignments(self.scheduler.assign(eligible, pilots))
+            self._apply_assignments(self.scheduler.assign(eligible, bindable))
             return
         with tel.span(
             "unit-manager",
@@ -206,7 +213,7 @@ class UnitManager:
             eligible=len(eligible),
             pilots=len(pilots),
         ):
-            assignments = self.scheduler.assign(eligible, pilots)
+            assignments = self.scheduler.assign(eligible, bindable)
             self._apply_assignments(assignments)
         tel.metrics.counter("unit-manager.binding-passes").inc()
         tel.metrics.counter("unit-manager.bindings").inc(len(assignments))

@@ -1,4 +1,4 @@
-"""AllocationProfile, RunningMirror, and incremental-vs-stateless parity.
+"""AllocationProfile, RunningSet, and parity with sorted references.
 
 Covers the regression where a reservation boundary landing *before* the
 first profile breakpoint must inherit the first level (the profile
@@ -17,15 +17,25 @@ from repro.cluster import (
     EasyBackfillScheduler,
     SchedulerView,
 )
-from repro.cluster.schedulers.base import (
-    AllocationProfile,
-    RunningMirror,
-    entries_from_running,
-)
+from repro.cluster.schedulers.base import AllocationProfile, RunningSet
 
 
 def _job(cores, walltime):
     return BatchJob(cores=cores, runtime=walltime, walltime=walltime)
+
+
+def _sorted_entries(running):
+    """Reference running entries: ``running`` holds (cores, expected_end)
+    in start order, stably sorted by expected end."""
+    return sorted((end, i, cores) for i, (cores, end) in enumerate(running))
+
+
+def _running_set(running):
+    """A RunningSet started in order from (cores, expected_end) pairs."""
+    rs = RunningSet()
+    for cores, end in running:
+        rs.add(_job(cores, 1.0), end)
+    return rs
 
 
 # ---------------------------------------------------------------------------
@@ -110,101 +120,53 @@ def test_property_reserved_profile_never_negative(jobs, entries):
 
 
 # ---------------------------------------------------------------------------
-# RunningMirror
+# RunningSet
 # ---------------------------------------------------------------------------
 
 
-def test_mirror_matches_stateless_entries():
+def test_running_set_matches_sorted_reference():
     rng = random.Random(7)
-    mirror = RunningMirror()
+    rs = RunningSet()
     running = {}  # uid -> (job, end); dict preserves start order
-    uid = 0
     for _ in range(300):
         if running and rng.random() < 0.45:
             gone = rng.choice(list(running))
             del running[gone]
-            mirror.finish(gone)
+            assert rs.remove(gone) == ("end", gone)
         else:
-            uid += 1
             job = _job(rng.randint(1, 16), rng.randint(1, 100))
             end = float(rng.randint(1, 1000))
-            running[uid] = (job, end)
-            mirror.start(uid, end, job.cores)
-        stateless = entries_from_running(list(running.values()))
-        assert [(e, c) for e, _s, c in mirror.entries] == [
-            (e, c) for e, _s, c in stateless
+            running[job.uid] = (job, end)
+            rs.add(job, end, ("end", job.uid))
+        reference = _sorted_entries(
+            [(job.cores, end) for job, end in running.values()]
+        )
+        assert [(e, c) for e, _s, c in rs.entries] == [
+            (e, c) for e, _s, c in reference
         ]
-    assert mirror.starts + mirror.finishes == 300
+        assert list(rs) == [job for job, _ in running.values()]
 
 
-def test_mirror_duplicate_ends_keep_start_order():
-    mirror = RunningMirror()
-    mirror.start(1, 50.0, 4)
-    mirror.start(2, 50.0, 8)
-    mirror.start(3, 50.0, 2)
-    assert [c for _e, _s, c in mirror.entries] == [4, 8, 2]
-    mirror.finish(2)  # removes exactly the middle entry, not a twin
-    assert [c for _e, _s, c in mirror.entries] == [4, 2]
-
-
-# ---------------------------------------------------------------------------
-# scheduler parity: mirror-backed view vs stateless fallback
-# ---------------------------------------------------------------------------
-
-_grid_jobs = st.lists(
-    st.tuples(st.integers(1, 32), st.integers(1, 200)),
-    min_size=0,
-    max_size=25,
-)
-
-
-@given(pending=_grid_jobs, running=_grid_jobs)
-@settings(max_examples=150, deadline=None)
-def test_property_select_identical_with_and_without_mirror(pending, running):
-    total = 64
-    used = 0
-    mirror = RunningMirror()
-    running_view = []
-    for i, (cores, end) in enumerate(running):
-        cores = min(cores, total - used)
-        if cores <= 0:
-            break
-        used += cores
-        job = _job(cores, float(end))
-        running_view.append((job, float(end)))
-        mirror.start(job.uid, float(end), cores)
-    pending_jobs = [
-        _job(min(c, total), float(w)) for c, w in pending
-    ]
-    for scheduler in (
-        ConservativeBackfillScheduler(),
-        EasyBackfillScheduler(),
-    ):
-        views = [
-            SchedulerView(
-                now=0.0,
-                free_cores=total - used,
-                total_cores=total,
-                pending=pending_jobs,
-                running=running_view,
-                running_ends=ends,
-            )
-            for ends in (mirror, None)
-        ]
-        with_mirror = scheduler.select(views[0])
-        stateless = scheduler.select(views[1])
-        assert with_mirror == stateless
+def test_running_set_duplicate_ends_keep_start_order():
+    jobs = [_job(4, 1.0), _job(8, 1.0), _job(2, 1.0)]
+    rs = RunningSet()
+    for job in jobs:
+        rs.add(job, 50.0)
+    assert [c for _e, _s, c in rs.entries] == [4, 8, 2]
+    rs.remove(jobs[1].uid)  # removes exactly the middle entry, not a twin
+    assert [c for _e, _s, c in rs.entries] == [4, 2]
+    assert list(rs) == [jobs[0], jobs[2]]
 
 
 # ---------------------------------------------------------------------------
-# conservative early exit vs the full reservation plan
+# scheduler parity with sorted references
 # ---------------------------------------------------------------------------
 
 
-def _full_plan_picks(view):
+def _full_plan_picks(view, running):
     """Reference conservative pass: reserve every pending job, no cutoff."""
     prof = AllocationProfile.from_entries(
-        view.now, view.free_cores, entries_from_running(view.running)
+        view.now, view.free_cores, _sorted_entries(running)
     )
     picks = []
     for job in view.pending:
@@ -215,23 +177,80 @@ def _full_plan_picks(view):
     return picks
 
 
+def _easy_picks(view, running):
+    """Reference EASY pass: FCFS head run, then a shadow walk over a
+    stable end-sort of the running jobs plus the head-run picks."""
+    free, picks, pending = view.free_cores, [], list(view.pending)
+    while pending and pending[0].cores <= free:
+        picks.append(pending.pop(0))
+        free -= picks[-1].cores
+    if not pending:
+        return picks
+    ends = sorted(
+        list(running) + [(p.cores, view.now + p.walltime) for p in picks],
+        key=lambda r: r[1],
+    )
+    available, head = free, pending.pop(0)
+    for cores, end in ends:
+        available += cores
+        if available >= head.cores:
+            shadow, extra = end, available - head.cores
+            break
+    for job in pending:
+        fits_in_extra = job.cores <= extra
+        if job.cores <= free and (
+            view.now + job.walltime <= shadow or fits_in_extra
+        ):
+            picks.append(job)
+            free -= job.cores
+            if fits_in_extra:
+                extra -= job.cores
+    return picks
+
+
 def _view(now, total, running, pending):
-    """A mirror-backed view; ``running`` holds (cores, expected_end)."""
-    mirror = RunningMirror()
-    running_view = []
-    for cores, end in running:
-        job = _job(cores, 1.0)
-        running_view.append((job, end))
-        mirror.start(job.uid, end, cores)
+    """A view over ``running``, (cores, expected_end) pairs in start order."""
     used = sum(cores for cores, _ in running)
     return SchedulerView(
         now=now,
         free_cores=total - used,
-        total_cores=total,
         pending=pending,
-        running=running_view,
-        running_ends=mirror,
+        running=_running_set(running),
     )
+
+
+_grid_jobs = st.lists(
+    st.tuples(st.integers(1, 32), st.integers(1, 200)),
+    min_size=0,
+    max_size=25,
+)
+
+
+@given(pending=_grid_jobs, running=_grid_jobs)
+@settings(max_examples=150, deadline=None)
+def test_property_select_matches_sorted_reference(pending, running):
+    total = 64
+    used = 0
+    kept = []
+    for cores, end in running:
+        cores = min(cores, total - used)
+        if cores <= 0:
+            break
+        used += cores
+        kept.append((cores, float(end)))
+    pending_jobs = [
+        _job(min(c, total), float(w)) for c, w in pending
+    ]
+    view = _view(0.0, total, kept, pending_jobs)
+    assert ConservativeBackfillScheduler().select(view) == _full_plan_picks(
+        view, kept
+    )
+    assert EasyBackfillScheduler().select(view) == _easy_picks(view, kept)
+
+
+# ---------------------------------------------------------------------------
+# conservative early exit vs the full reservation plan
+# ---------------------------------------------------------------------------
 
 
 def _counting_reserve(monkeypatch):
@@ -249,11 +268,12 @@ def _counting_reserve(monkeypatch):
 def test_early_exit_stops_once_no_request_fits_now(monkeypatch):
     # 2 cores free until t=100; the smallest queued request needs 3
     pending = [_job(4, 50.0), _job(3, 50.0), _job(6, 20.0), _job(5, 10.0)]
-    view = _view(0.0, 10, [(8, 100.0)], pending)
+    running = [(8, 100.0)]
+    view = _view(0.0, 10, running, pending)
     calls = _counting_reserve(monkeypatch)
     assert ConservativeBackfillScheduler().select(view) == []
     assert calls == []  # the full plan would reserve all four
-    assert _full_plan_picks(view) == []
+    assert _full_plan_picks(view, running) == []
     assert len(calls) == 4
 
 
@@ -262,10 +282,11 @@ def test_late_small_short_job_still_picked(monkeypatch):
     # and only the last job is both small and short enough to start now
     small = _job(1, 10.0)
     pending = [_job(6, 50.0), _job(4, 50.0), _job(2, 500.0), small]
-    view = _view(0.0, 10, [(8, 100.0)], pending)
+    running = [(8, 100.0)]
+    view = _view(0.0, 10, running, pending)
     calls = _counting_reserve(monkeypatch)
     picks = ConservativeBackfillScheduler().select(view)
-    assert picks == _full_plan_picks(view) == [small]
+    assert picks == _full_plan_picks(view, running) == [small]
     assert len(calls) == 8  # no cutoff: every job reserved in both passes
 
 
@@ -291,8 +312,6 @@ def test_property_early_exit_matches_full_plan(now, running, pending):
         kept.append((cores, float(end)))  # ends <= now fold into now
     jobs = [_job(cores, float(walltime)) for cores, walltime in pending]
     view = _view(float(now), total, kept, jobs)
-    picks = ConservativeBackfillScheduler().select(view)
-    assert picks == _full_plan_picks(view)
-    assert picks == ConservativeBackfillScheduler().select(
-        view._replace(running_ends=None)
+    assert ConservativeBackfillScheduler().select(view) == _full_plan_picks(
+        view, kept
     )

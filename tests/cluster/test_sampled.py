@@ -73,3 +73,42 @@ def test_walltime_kill_still_applies():
     cluster.submit(job)
     sim.run()
     assert job.state is JobState.TIMEOUT
+
+
+@pytest.mark.parametrize("abort", ["kill_job", "set_offline"])
+def test_resource_failure_fails_running_job(abort):
+    """Killing a running job (or an outage) ends it FAILED, takes it off
+    the running set, and cancels its end event."""
+    sim = Simulation(seed=9)
+    cluster = make(sim, mu=np.log(10), sigma=0.01)
+    job = BatchJob(cores=1, runtime=500, walltime=1000)
+    cluster.submit(job)
+    sim.run(until=100)
+    assert job.state is JobState.RUNNING
+    if abort == "kill_job":
+        cluster.kill_job(job)
+    else:
+        cluster.set_offline(50.0)
+    assert job.state is JobState.FAILED
+    assert job.end_time == 100
+    assert cluster.running_jobs() == []
+    sim.run()
+    # the cancelled end event never fires: no COMPLETED transition
+    assert job.state is JobState.FAILED
+    assert cluster.completed_jobs == 0
+
+
+def test_started_and_cancelled_jobs_leave_no_queue_state():
+    sim = Simulation(seed=10)
+    cluster = make(sim, mu=np.log(100), sigma=0.01)
+    started = BatchJob(cores=1, runtime=10, walltime=20)
+    dropped = BatchJob(cores=1, runtime=10, walltime=20)
+    cluster.submit(started)
+    cluster.submit(dropped)
+    sim.run(until=1)
+    cluster.cancel(dropped)
+    sim.run()
+    assert started.state is JobState.COMPLETED
+    assert dropped.state is JobState.CANCELLED
+    assert cluster.pending_jobs() == [] and cluster.running_jobs() == []
+    assert cluster._arrival_order == {}

@@ -11,35 +11,36 @@ from repro.cluster import (
     make_scheduler,
     shadow_schedule,
 )
+from repro.cluster.schedulers import RunningSet
 
 
 def job(cores, walltime, name=""):
     return BatchJob(cores=cores, runtime=walltime, walltime=walltime, name=name)
 
 
-def view(free, total, pending, running=()):
+def view(free, pending, running=()):
+    """A view at t=0; ``running`` holds (job, expected_end) pairs."""
+    rs = RunningSet()
+    for j, end in running:
+        rs.add(j, end)
     return SchedulerView(
-        now=0.0,
-        free_cores=free,
-        total_cores=total,
-        pending=tuple(pending),
-        running=tuple(running),
+        now=0.0, free_cores=free, pending=tuple(pending), running=rs
     )
 
 
 class TestFcfs:
     def test_starts_in_order_until_blocked(self):
         a, b, c = job(4, 10, "a"), job(8, 10, "b"), job(1, 10, "c")
-        picks = FcfsScheduler().select(view(10, 16, [a, b, c]))
+        picks = FcfsScheduler().select(view(10, [a, b, c]))
         assert picks == [a]  # b blocks; c must not bypass
 
     def test_all_fit(self):
         a, b = job(4, 10), job(4, 10)
-        picks = FcfsScheduler().select(view(16, 16, [a, b]))
+        picks = FcfsScheduler().select(view(16, [a, b]))
         assert picks == [a, b]
 
     def test_empty_queue(self):
-        assert FcfsScheduler().select(view(16, 16, [])) == []
+        assert FcfsScheduler().select(view(16, [])) == []
 
 
 class TestShadowSchedule:
@@ -49,9 +50,8 @@ class TestShadowSchedule:
         assert extra == 6
 
     def test_shadow_from_running_ends(self):
-        r1 = (job(8, 100, "r1"), 50.0)
-        r2 = (job(8, 100, "r2"), 80.0)
-        shadow, extra = shadow_schedule(12, 0, [r1, r2])
+        # (expected_end, start_seq, cores) entries, end-sorted
+        shadow, extra = shadow_schedule(12, 0, [(50.0, 1, 8), (80.0, 2, 8)])
         # after r1 ends: 8 free < 12; after r2: 16 free >= 12
         assert shadow == 80.0
         assert extra == 4
@@ -68,7 +68,7 @@ class TestEasyBackfill:
         head = job(16, 50, "head")
         short = job(4, 50, "short")  # ends at t=50 <= shadow 100 -> backfill
         picks = EasyBackfillScheduler().select(
-            view(8, 16, [head, short], running)
+            view(8, [head, short], running)
         )
         assert picks == [short]
 
@@ -79,7 +79,7 @@ class TestEasyBackfill:
         # needs 8 > extra (extra = 16-16 = 0) and ends at 200 > 100.
         long_wide = job(8, 200, "lw")
         picks = EasyBackfillScheduler().select(
-            view(8, 16, [head, long_wide], running)
+            view(8, [head, long_wide], running)
         )
         assert picks == []
 
@@ -91,13 +91,13 @@ class TestEasyBackfill:
         # (and 6 <= 8 cores free right now).
         eternal = job(6, 10_000, "eternal")
         picks = EasyBackfillScheduler().select(
-            view(8, 32, [head, eternal], running)
+            view(8, [head, eternal], running)
         )
         assert picks == [eternal]
 
     def test_fcfs_phase_runs_head_first(self):
         a, b = job(4, 10, "a"), job(4, 10, "b")
-        picks = EasyBackfillScheduler().select(view(16, 16, [a, b]))
+        picks = EasyBackfillScheduler().select(view(16, [a, b]))
         assert picks == [a, b]
 
     def test_backfill_candidates_respect_current_free(self):
@@ -105,7 +105,7 @@ class TestEasyBackfill:
         head = job(16, 50, "head")
         too_wide = job(6, 10, "toowide")  # only 4 free now
         picks = EasyBackfillScheduler().select(
-            view(4, 16, [head, too_wide], running)
+            view(4, [head, too_wide], running)
         )
         assert picks == []
 
@@ -113,7 +113,7 @@ class TestEasyBackfill:
 class TestConservativeBackfill:
     def test_behaves_like_fcfs_when_everything_fits(self):
         a, b = job(4, 10, "a"), job(4, 10, "b")
-        picks = ConservativeBackfillScheduler().select(view(16, 16, [a, b]))
+        picks = ConservativeBackfillScheduler().select(view(16, [a, b]))
         assert picks == [a, b]
 
     def test_backfills_job_with_no_delay_to_any_reservation(self):
@@ -121,7 +121,7 @@ class TestConservativeBackfill:
         head = job(16, 50, "head")
         short = job(4, 50, "short")
         picks = ConservativeBackfillScheduler().select(
-            view(8, 16, [head, short], running)
+            view(8, [head, short], running)
         )
         assert picks == [short]
 
@@ -133,7 +133,7 @@ class TestConservativeBackfill:
         second = job(8, 10, "second")   # reserved at t=110 (after head)
         sneaky = job(8, 150, "sneaky")  # would run 0..150, delaying second
         cons_picks = ConservativeBackfillScheduler().select(
-            view(8, 16, [head, second, sneaky], running)
+            view(8, [head, second, sneaky], running)
         )
         assert sneaky not in cons_picks
 

@@ -15,6 +15,7 @@ from repro.cluster import (
     FcfsScheduler,
     SchedulerView,
 )
+from repro.cluster.schedulers import RunningSet
 from repro.des import Simulation
 from repro.net import Link
 from repro.pilot.states import (
@@ -54,13 +55,14 @@ def scheduler_views(draw):
         if acc + j.cores <= total:
             kept.append(j)
             acc += j.cores
-    running = tuple((j, float(j.walltime)) for j in kept)
+    running = RunningSet()
+    for j in kept:
+        running.add(j, float(j.walltime))
     # drop pending jobs that can never fit at all
     pending = tuple(j for j in pending if j.cores <= total)
     return SchedulerView(
         now=0.0,
         free_cores=total - acc,
-        total_cores=total,
         pending=pending,
         running=running,
     )
