@@ -17,6 +17,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..des import Simulation
+from ..telemetry.metrics import Counter, Histogram
 from .job import BatchJob, JobState
 from .nodes import NodePool
 from .schedulers import (
@@ -74,6 +75,11 @@ class Cluster:
         #: scheduler view hands it to the policy as is.
         self._running = RunningSet()
         self._dispatch_scheduled = False
+        #: (track, pass counter, pass-length histogram), bound at the
+        #: first telemetered pass: binding creates the instruments, and a
+        #: cluster that never runs a pass must add nothing to the metrics
+        #: snapshot the telemetry digest hashes.
+        self._pass_instruments: Optional[Tuple[str, Counter, Histogram]] = None
         self._offline_until: float = -float("inf")
         self._listeners: List[Callable[[BatchJob, JobState, JobState], None]] = []
         # Tuple snapshot iterated on the (hot) transition path; rebuilt
@@ -266,19 +272,27 @@ class Cluster:
             # plumbing costs as much as a small scheduler pass.
             self._run_picks(self.scheduler.select(view))
             return
+        instruments = self._pass_instruments
+        if instruments is None:
+            instruments = self._pass_instruments = (
+                f"cluster/{self.name}",
+                tel.metrics.counter("cluster.scheduler-passes"),
+                tel.metrics.histogram(
+                    "cluster.scheduler-pass-length", SCHEDULER_PASS_BUCKETS
+                ),
+            )
+        track, passes, pass_length = instruments
         with tel.span(
             "cluster",
             "scheduler-pass",
-            track=f"cluster/{self.name}",
+            track=track,
             policy=self.scheduler.name,
             pending=len(self._pending),
             free_cores=self.pool.free_cores,
         ):
             self._run_picks(self.scheduler.select(view))
-        tel.metrics.counter("cluster.scheduler-passes").inc()
-        tel.metrics.histogram(
-            "cluster.scheduler-pass-length", SCHEDULER_PASS_BUCKETS
-        ).observe(len(view.pending))
+        passes.inc()
+        pass_length.observe(len(view.pending))
 
     def _queued(self) -> List[BatchJob]:
         """The pending queue without the current pass's started picks.

@@ -12,6 +12,11 @@ query, a pilot's stay in one state, an enactment step. Each span carries
 Only the virtual fields participate in the canonical rendering: wall
 time varies run to run, so it is excluded from the reproducibility
 digest by construction.
+
+Scheduler passes dominate a telemetered campaign's span count, so the
+record is slotted and :meth:`Span.as_dict` renders flat attrs (``str``
+keys; ``str``/``int``/``float``/``bool``/``None`` values) with a plain
+copy instead of the recursive coercion; both give the same JSON.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ class UnclosedSpanError(Exception):
     """Raised when closed telemetry is required but spans are still open."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One begin/end record on the telemetry hub."""
 
@@ -61,12 +66,25 @@ class Span:
             "track": self.track,
             "t0": self.t0,
             "t1": self.t1,
-            "attrs": _plain(self.attrs),
+            "attrs": _plain_attrs(self.attrs),
         }
         if wall:
             out["w0"] = self.w0
             out["w1"] = self.w1
         return out
+
+
+#: exact types a flat attr value may have; subclasses (numpy floats,
+#: enums) take the general path.
+_FLAT = frozenset({str, int, float, bool, type(None)})
+
+
+def _plain_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """``_plain(attrs)``, without the recursion when every attr is flat."""
+    for key, value in attrs.items():
+        if type(key) is not str or type(value) not in _FLAT:
+            return _plain(attrs)
+    return dict(attrs)
 
 
 def _plain(value: Any) -> Any:

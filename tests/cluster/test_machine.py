@@ -168,6 +168,38 @@ def test_listener_sees_transitions():
     ]
 
 
+def _pass_metrics(sim):
+    """(pass count, pass-length observations); None where unregistered."""
+    snap = sim.telemetry.metrics.snapshot()
+    length = snap["histograms"].get("cluster.scheduler-pass-length")
+    return (
+        snap["counters"].get("cluster.scheduler-passes"),
+        length and length["count"],
+    )
+
+
+def test_cluster_without_a_pass_adds_no_pass_metrics():
+    sim = Simulation()
+    sim.telemetry.enable()
+    make_cluster(sim)
+    sim.run()
+    assert _pass_metrics(sim) == (None, None)
+
+
+def test_first_telemetered_pass_binds_and_records_the_instruments():
+    sim = Simulation()
+    sim.telemetry.enable()
+    cluster = make_cluster(sim)
+    cluster.submit(BatchJob(cores=4, runtime=100, walltime=200))
+    sim.run()
+    # the job's end finds an empty queue, so there is exactly one pass
+    assert _pass_metrics(sim) == (1, 1)
+    (span,) = [s for s in sim.telemetry.spans if s.name == "scheduler-pass"]
+    assert span.track == "cluster/test-cluster"
+    assert span.attrs == {"policy": cluster.scheduler.name, "pending": 1,
+                          "free_cores": 16}
+
+
 def test_trace_records_batch_job_states():
     sim = Simulation()
     cluster = make_cluster(sim)

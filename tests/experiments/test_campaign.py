@@ -1,5 +1,7 @@
 """Tests for the experiment harness (small, fast configurations)."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -15,7 +17,11 @@ from repro.experiments import (
     tw_range,
     win_fraction,
 )
-from repro.experiments.campaign import CampaignResult, RunResult
+from repro.experiments.campaign import (
+    CampaignResult,
+    RunResult,
+    run_cell_report,
+)
 
 
 class TestEnvironment:
@@ -80,6 +86,48 @@ class TestRunSingle:
         a = run_single(TABLE1[3], 8, rep=0, campaign_seed=5)
         b = run_single(TABLE1[3], 8, rep=1, campaign_seed=5)
         assert a.ttc != b.ttc
+
+
+class TestDigestHashedOnce:
+    """``run_single`` reuses the report's hub digest instead of rehashing.
+
+    That is only sound while nothing touches the hub after ``execute``
+    returns; these cells would catch a change that does.
+    """
+
+    @pytest.mark.parametrize(
+        "exp_id,n_tasks,rep,prefix",
+        [(1, 8, 0, "90a7e772b6ed"), (3, 16, 1, "6b88291acead")],
+    )
+    def test_payload_digest_matches_the_final_hub(
+        self, exp_id, n_tasks, rep, prefix
+    ):
+        report, env, _ = run_cell_report(
+            TABLE1[exp_id], n_tasks, rep, campaign_seed=2016, telemetry=True
+        )
+        hub_digest = env.sim.telemetry.digest()
+        assert report.telemetry.digest == hub_digest
+
+        r = run_single(
+            TABLE1[exp_id], n_tasks, rep, campaign_seed=2016,
+            collect_digests=True,
+        )
+        payload = {
+            "telemetry": hub_digest,
+            "faults": (
+                report.fault_log.digest()
+                if report.fault_log is not None else None
+            ),
+            "health": (
+                report.health_log.digest()
+                if report.health_log is not None else None
+            ),
+        }
+        rebuilt = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+        assert r.digest == rebuilt
+        assert r.digest.startswith(prefix)
 
 
 class TestCampaignAggregation:

@@ -1,8 +1,13 @@
 """Span nesting, state-machine tracks, and unclosed-span detection."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import TelemetryHub, UnclosedSpanError
+from repro.telemetry.digest import canonical_json
+from repro.telemetry.spans import Span, _plain
 
 
 def make_hub(clock=None):
@@ -99,3 +104,60 @@ def test_span_attrs_survive_into_the_canonical_dict():
     assert "w0" not in d  # wall time excluded from canonical form
     dw = hub.spans[0].as_dict(wall=True)
     assert "w0" in dw and "w1" in dw
+
+
+def test_flat_attrs_render_as_a_copy():
+    attrs = {"policy": "easy", "pending": 3, "load": 0.5, "ok": True,
+             "note": None}
+    span = Span(1, None, "cluster", "scheduler-pass", "cluster/a", 0.0, 0.0,
+                attrs=attrs)
+    rendered = span.as_dict()["attrs"]
+    assert rendered == _plain(attrs)
+    assert rendered is not attrs
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+    st.integers(-5, 5).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+_keys = st.one_of(
+    st.text(max_size=5),
+    st.integers(-5, 5),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3).map(np.str_),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_keys, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.dictionaries(st.text(max_size=5), _values, max_size=5),
+    st.dictionaries(_keys, _values, max_size=5),
+))
+@example({"pending": (1, 2)})
+@example({"nested": {"a": 1, 2: None}})
+@example({1: "one", None: 0})
+@example({"n": np.int64(3), "x": np.float64("nan"), "b": np.bool_(True)})
+@example({"ok": True, "none": None, "nan": float("nan"),
+          "inf": float("inf"), "ninf": float("-inf")})
+def test_as_dict_renders_attrs_like_the_recursive_coercion(attrs):
+    span = Span(7, 3, "cluster", "scheduler-pass", "cluster/a", 1.5, 0.0,
+                t1=2.5, attrs=attrs)
+    reference = span.as_dict()
+    reference["attrs"] = _plain(attrs)
+    assert canonical_json(span.as_dict()) == canonical_json(reference)
